@@ -11,8 +11,23 @@ heads; Bq/Bk are the head's diagonal blocks of the projection matrices, so
 the head count does not change the formula when heads == 1. There is no
 position-position term.
 
-Offsets j-i index a table of 2*span-1 embeddings; lines longer than the span
-are rejected rather than extrapolated. Each public operation adds a residual
+Offsets j-i index a table r of 2*span-1 embeddings, r[span-1] being offset
+0. The position terms are built per head without gathering an (n, m, ch)
+table ("relative attention skewing", Huang et al., Music Transformer, arXiv
+1809.04281; after Shaw et al., arXiv 1803.02155). A line of n queries and m
+keys only needs offsets -(n-1) .. m-1, the window r[span-n : span-1+m], so
+one GEMM of the queries against that window's key projection gives every
+content-position product, (lines, n, n+m-1), and one GEMM of the keys
+against its query projection gives every position-content product,
+(lines, m, n+m-1). The (n, m) logits then lie on diagonals of those results:
+column j-i+n-1 of query row i, or of key row j. A strided view reads them
+with no copy, and each is added in place into one logits buffer.
+
+A line may not exceed the span: for n > span the window would start at a
+negative row, which numpy wraps to the far end of the table, and for m > span
+it would run past the table, so the slice would silently hold the wrong rows.
+The length guard therefore runs before the slice, and longer lines are
+rejected rather than extrapolated. Each public operation adds a residual
 connection around the attention update; stream normalization between
 sublayers is the caller's job (see pixel_norm).
 """
@@ -104,12 +119,51 @@ def _check_heads(weights: AttentionWeights, heads: int) -> int:
     return ch
 
 
-def _offset_index(n_q: int, n_k: int, span: int) -> np.ndarray:
+def _window(weights: AttentionWeights, n_q: int, n_k: int) -> np.ndarray:
+    """Rows of rel_pos for offsets -(n_q-1) .. n_k-1, after the length guard."""
+    span = weights.span
     if max(n_q, n_k) > span:
         raise ValueError(
             f"line length {max(n_q, n_k)} exceeds the position-embedding span {span}"
         )
-    return np.arange(n_k)[None, :] - np.arange(n_q)[:, None] + (span - 1)
+    return weights.rel_pos[span - n_q : span - 1 + n_k]
+
+
+def _diagonals(full: np.ndarray, n: int, m: int, by_key: bool) -> np.ndarray:
+    """Zero-copy (lines, n, m) view of a window product at column j-i+n-1.
+
+    ``full`` is a C-contiguous (lines, rows, n+m-1) product whose rows are the
+    queries i, or the keys j when ``by_key`` is set.
+    """
+    lines, _, width = full.shape
+    size = full.itemsize
+    if by_key:
+        strides = (full.strides[0], -size, (width + 1) * size)
+    else:
+        strides = (full.strides[0], (width - 1) * size, size)
+    return np.ndarray(
+        (lines, n, m), full.dtype, buffer=full, offset=(n - 1) * size, strides=strides
+    )
+
+
+def _head_logits(
+    q: np.ndarray,
+    k: np.ndarray,
+    table: np.ndarray,
+    weights: AttentionWeights,
+    hs: slice,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Scaled, masked (lines, n, m) logits of one head from its (lines, n|m, ch)
+    query/key slices and the offset window ``table``."""
+    n, m = q.shape[1], k.shape[1]
+    logits = q @ k.transpose(0, 2, 1)
+    logits += _diagonals(q @ (table @ weights.Wk[hs, hs]).T, n, m, by_key=False)
+    logits += _diagonals(k @ (table @ weights.Wq[hs, hs]).T, n, m, by_key=True)
+    logits /= np.float32(np.sqrt(q.shape[2]))
+    if mask is not None:
+        logits += mask
+    return logits
 
 
 def relative_logits(
@@ -133,16 +187,11 @@ def relative_logits(
     heads = c // ch
     if not 0 <= head < heads:
         raise ValueError(f"head {head} out of range for {heads} heads")
-    off = _offset_index(x.shape[0], xk.shape[0], weights.span)
+    table = _window(weights, x.shape[0], xk.shape[0])
     hs = slice(head * ch, (head + 1) * ch)
-    q = (x @ weights.Wq)[:, hs]
-    k = (xk @ weights.Wk)[:, hs]
-    pq = weights.rel_pos @ weights.Wq[hs, hs]
-    pk = weights.rel_pos @ weights.Wk[hs, hs]
-    cc = q @ k.T
-    cp = np.einsum("ic,ijc->ij", q, pk[off])
-    pc = np.einsum("jc,ijc->ij", k, pq[off])
-    return (cc + cp + pc) / np.float32(np.sqrt(ch))
+    q = (x @ weights.Wq)[None, :, hs]
+    k = (xk @ weights.Wk)[None, :, hs]
+    return _head_logits(q, k, table, weights, hs)[0]
 
 
 def _multihead(
@@ -161,7 +210,7 @@ def _multihead(
     lines, n, c = x_q.shape
     m = x_kv.shape[1]
     ch = _check_heads(weights, heads)
-    off = _offset_index(n, m, weights.span)
+    table = _window(weights, n, m)
     if mask is not None:
         if mask.shape != (n, m):
             raise ValueError(f"mask must be ({n}, {m}), got {mask.shape}")
@@ -174,16 +223,7 @@ def _multihead(
     scores = np.zeros((lines, n, m), dtype=np.float32) if want_scores else None
     for head in range(heads):
         hs = slice(head * ch, (head + 1) * ch)
-        q = q_all[..., hs]
-        k = k_all[..., hs]
-        pq = weights.rel_pos @ weights.Wq[hs, hs]
-        pk = weights.rel_pos @ weights.Wk[hs, hs]
-        cc = q @ k.transpose(0, 2, 1)
-        cp = np.einsum("lic,ijc->lij", q, pk[off])
-        pc = np.einsum("ljc,ijc->lij", k, pq[off])
-        logits = (cc + cp + pc) / np.float32(np.sqrt(ch))
-        if mask is not None:
-            logits = logits + mask[None, :, :]
+        logits = _head_logits(q_all[..., hs], k_all[..., hs], table, weights, hs, mask)
         if scores is not None:
             scores += logits
         out[..., hs] = softmax_axis(logits, axis=2) @ v_all[..., hs]

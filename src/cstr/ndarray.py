@@ -125,7 +125,13 @@ def conv2d(
     padded[:, ph : ph + h, pw : pw + w] = x
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
     cols = windows.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, h * w)
-    flat = kernel.reshape(c_out, c_in * kh * kw) @ np.ascontiguousarray(cols)
+    taps = kernel.reshape(c_out, c_in * kh * kw)
+    if c_out == 1:
+        # BLAS serves a one-row product with a threaded gemv whose rounding
+        # depends on the thread count; einsum's own loop keeps bytes fixed.
+        flat = np.einsum("ok,kn->on", taps, cols)
+    else:
+        flat = taps @ np.ascontiguousarray(cols)
     return flat.reshape(c_out, h, w) + bias[:, None, None]
 
 

@@ -114,6 +114,28 @@ def test_relative_logits_rejects_long_lines():
         relative_logits(x, w, 0)
 
 
+def test_relative_logits_with_keys_matches_dense_oracle():
+    from cstr import softmax_axis
+
+    # n != m in both directions, up to the whole window (n or m = span)
+    span, c, heads = 6, 8, 2
+    w = make_weights(Rng(21), c, heads, span)
+    ch = c // heads
+    for n, m in ((2, 5), (5, 2), (1, span), (span, 1), (span, span - 1)):
+        rng = Rng(100 + 10 * n + m)
+        x = seeded_normal(rng, (n, c), 1.0)
+        keys = seeded_normal(rng, (m, c), 1.0)
+        v = keys @ w.Wv
+        out = np.empty((n, c), dtype=F32)
+        for head in range(heads):
+            hs = slice(head * ch, (head + 1) * ch)
+            logits = relative_logits(x, w, head, keys=keys)
+            assert logits.shape == (n, m)
+            out[:, hs] = softmax_axis(logits, axis=1) @ v[:, hs]
+        want = dense_line_attention(x, keys, w, heads)
+        np.testing.assert_allclose(out @ w.Wo, want, atol=1e-5)
+
+
 # --- axial attention ---
 
 
@@ -220,6 +242,53 @@ def test_head_mismatch_rejected():
         axial_attention_width(f, w, 2)
     with pytest.raises(ValueError):
         axial_attention_width(f, w, 3)
+
+
+SPAN = 6
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("length", [1, SPAN - 1, SPAN])
+def test_width_matches_dense_oracle_at_window_edges(length, heads):
+    c = 8
+    w = make_weights(Rng(30 + heads), c, heads, SPAN)
+    f = seeded_normal(Rng(40 + length), (c, 2, length), 1.0)
+    got = axial_attention_width(f, w, heads)
+    for y in range(2):
+        line = f[:, y, :].T
+        want = line + dense_line_attention(line, line, w, heads)
+        np.testing.assert_allclose(got[:, y, :].T, want, atol=1e-5)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("length", [1, SPAN - 1, SPAN])
+def test_cross_matches_dense_oracle_at_window_edges(length, heads):
+    c = 8
+    w = make_weights(Rng(50 + heads), c, heads, SPAN)
+    rng = Rng(60 + length)
+    left_in = seeded_normal(rng, (c, 2, length), 1.0)
+    right_in = seeded_normal(rng, (c, 2, length), 1.0)
+    mask = epipolar_mask(length, length)
+    left, right, _ = cross_attention(left_in, right_in, w, heads, mask)
+    for y in range(2):
+        lq = left_in[:, y, :].T
+        rq = right_in[:, y, :].T
+        want_l = lq + dense_line_attention(lq, rq, w, heads, mask)
+        want_r = rq + dense_line_attention(rq, lq, w, heads, mask.T)
+        np.testing.assert_allclose(left[:, y, :].T, want_l, atol=1e-5)
+        np.testing.assert_allclose(right[:, y, :].T, want_r, atol=1e-5)
+
+
+def test_lines_longer_than_span_rejected():
+    c, heads = 4, 2
+    w = make_weights(Rng(70), c, heads, SPAN)
+    long_rows = np.zeros((c, 2, SPAN + 1), dtype=F32)
+    with pytest.raises(ValueError, match="exceeds the position-embedding span"):
+        axial_attention_width(long_rows, w, heads)
+    with pytest.raises(ValueError, match="exceeds the position-embedding span"):
+        axial_attention_height(long_rows.transpose(0, 2, 1), w, heads)
+    with pytest.raises(ValueError, match="exceeds the position-embedding span"):
+        cross_attention(long_rows, long_rows, w, heads)
 
 
 # --- cross attention ---

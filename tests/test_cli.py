@@ -154,7 +154,7 @@ def test_infer_golden_transcript(workdir, weights_file):
         "--out-occ", workdir / "occ.pgm",
     )
     digest = hashlib.sha256((workdir / "disp.pfm").read_bytes()).hexdigest()
-    assert digest == "31fbf8da4a0aa34ebe4142a5c7b1bd670373efff507732057fc3a0b99201e9ce"
+    assert digest == "bafd160f6f765fe2e93145a46b5cf46581aae1091b2049221ecc3f5992740f8c"
 
 
 def test_infer_shape_mismatch_exits_nonzero_and_names_shapes(workdir, weights_file, capsys):

@@ -327,7 +327,7 @@ def test_forward_gt_shape_mismatch_rejected(tiny_model, tiny_pair):
         forward(tiny_pair, tiny_model, gt)
 
 
-GOLDEN_FORWARD = "6365fc9547a51f093f8df8c5ab3f6072af3f504e704d21e8e6daba2dec33d539"
+GOLDEN_FORWARD = "7668d55d42cf8dda0b577700355de284c4bdcbb8fce89e3cff73cf0b9081407a"
 
 
 def test_forward_golden_transcript(tiny_model, tiny_pair):
@@ -366,3 +366,38 @@ def test_forward_single_thread_process_reproduces_golden():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == GOLDEN_FORWARD
+
+
+def test_default_forward_bytes_independent_of_blas_threads():
+    # default config on a 128x256 pair: the same bytes with 1 and 2 BLAS threads
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import hashlib, numpy as np\n"
+        "from cstr import ImagePair, ModelDescription, Rng, RunConfig, init_weights, forward\n"
+        "config = RunConfig()\n"
+        "model = ModelDescription(config, init_weights(config, seed=0))\n"
+        "rng = Rng(0)\n"
+        "pair = ImagePair(rng.generator.random((1, 128, 256), dtype=np.float32),\n"
+        "                 rng.generator.random((1, 128, 256), dtype=np.float32))\n"
+        "disp, occ, _ = forward(pair, model)\n"
+        "print(hashlib.sha256(disp.values.tobytes()).hexdigest())\n"
+        "print(hashlib.sha256(occ.probs.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert digests[0] == digests[1]
