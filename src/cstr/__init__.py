@@ -8,6 +8,7 @@ from .attention import (
     axial_attention_height,
     axial_attention_width,
     cross_attention,
+    cross_scores,
     pixel_norm,
     relative_logits,
 )
@@ -70,7 +71,6 @@ from .ndarray import (
     bilinear_upsample,
     conv2d,
     linear_interp_1d,
-    matmul,
     seeded_normal,
     softmax_axis,
     tensor,

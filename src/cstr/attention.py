@@ -27,9 +27,11 @@ A line may not exceed the span: for n > span the window would start at a
 negative row, which numpy wraps to the far end of the table, and for m > span
 it would run past the table, so the slice would silently hold the wrong rows.
 The length guard therefore runs before the slice, and longer lines are
-rejected rather than extrapolated. Each public operation adds a residual
-connection around the attention update; stream normalization between
-sublayers is the caller's job (see pixel_norm).
+rejected rather than extrapolated. Each public operation that updates
+features adds a residual connection around the attention update; stream
+normalization between sublayers is the caller's job (see pixel_norm).
+cross_scores returns only the matching scores, for a last layer whose
+features nothing reads.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "axial_attention_width",
     "axial_attention_height",
     "cross_attention",
+    "cross_scores",
     "pixel_norm",
 ]
 
@@ -127,6 +130,15 @@ def _window(weights: AttentionWeights, n_q: int, n_k: int) -> np.ndarray:
             f"line length {max(n_q, n_k)} exceeds the position-embedding span {span}"
         )
     return weights.rel_pos[span - n_q : span - 1 + n_k]
+
+
+def _check_mask(mask: np.ndarray | None, n: int, m: int) -> None:
+    if mask is None:
+        return
+    if mask.shape != (n, m):
+        raise ValueError(f"mask must be ({n}, {m}), got {mask.shape}")
+    if not np.isfinite(mask).any(axis=1).all():
+        raise ValueError("mask forbids every key of some query row")
 
 
 def _diagonals(full: np.ndarray, n: int, m: int, by_key: bool) -> np.ndarray:
@@ -211,11 +223,7 @@ def _multihead(
     m = x_kv.shape[1]
     ch = _check_heads(weights, heads)
     table = _window(weights, n, m)
-    if mask is not None:
-        if mask.shape != (n, m):
-            raise ValueError(f"mask must be ({n}, {m}), got {mask.shape}")
-        if not np.isfinite(mask).any(axis=1).all():
-            raise ValueError("mask forbids every key of some query row")
+    _check_mask(mask, n, m)
     q_all = x_q @ weights.Wq
     k_all = x_kv @ weights.Wk
     v_all = x_kv @ weights.Wv
@@ -257,6 +265,20 @@ def axial_attention_height(
     return f + update.transpose(2, 1, 0)
 
 
+def _epipolar_rows(
+    left: np.ndarray, right: np.ndarray, weights: AttentionWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both (c, h, w) maps as contiguous (h, w, c) stacks of epipolar lines."""
+    if left.shape != right.shape:
+        raise ValueError(f"shape mismatch: left {left.shape} vs right {right.shape}")
+    if left.ndim != 3 or left.shape[0] != weights.channels:
+        raise ValueError(f"feature shape {left.shape} does not match weights")
+    return (
+        np.ascontiguousarray(left.transpose(1, 2, 0)),
+        np.ascontiguousarray(right.transpose(1, 2, 0)),
+    )
+
+
 def cross_attention(
     left: np.ndarray,
     right: np.ndarray,
@@ -270,18 +292,42 @@ def cross_attention(
     right-queries use its transpose. Returns both updated features (with
     residuals) and the head-averaged left-query scores for the matching head.
     """
-    if left.shape != right.shape:
-        raise ValueError(f"shape mismatch: left {left.shape} vs right {right.shape}")
-    if left.ndim != 3 or left.shape[0] != weights.channels:
-        raise ValueError(f"feature shape {left.shape} does not match weights")
-    rows_l = np.ascontiguousarray(left.transpose(1, 2, 0))
-    rows_r = np.ascontiguousarray(right.transpose(1, 2, 0))
+    rows_l, rows_r = _epipolar_rows(left, right, weights)
     up_l, scores = _multihead(rows_l, rows_r, weights, heads, mask, want_scores=True)
     mask_t = None if mask is None else np.ascontiguousarray(mask.T)
     up_r, _ = _multihead(rows_r, rows_l, weights, heads, mask_t)
     new_left = left + up_l.transpose(2, 0, 1)
     new_right = right + up_r.transpose(2, 0, 1)
     return new_left, new_right, ScoreMatrix(scores)
+
+
+def cross_scores(
+    left: np.ndarray,
+    right: np.ndarray,
+    weights: AttentionWeights,
+    heads: int,
+    mask: np.ndarray | None = None,
+) -> ScoreMatrix:
+    """Only the head-averaged left-query scores of cross_attention.
+
+    Builds and sums the per-head logits in the same order, so the bytes equal
+    ``cross_attention(...)[2]``, but runs no value projection, softmax or
+    right-query pass.
+    """
+    rows_l, rows_r = _epipolar_rows(left, right, weights)
+    lines, n, _ = rows_l.shape
+    m = rows_r.shape[1]
+    ch = _check_heads(weights, heads)
+    table = _window(weights, n, m)
+    _check_mask(mask, n, m)
+    q_all = rows_l @ weights.Wq
+    k_all = rows_r @ weights.Wk
+    scores = np.zeros((lines, n, m), dtype=np.float32)
+    for head in range(heads):
+        hs = slice(head * ch, (head + 1) * ch)
+        scores += _head_logits(q_all[..., hs], k_all[..., hs], table, weights, hs, mask)
+    scores /= np.float32(heads)
+    return ScoreMatrix(scores)
 
 
 def pixel_norm(f: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -19,7 +19,6 @@ __all__ = [
     "Rng",
     "tensor",
     "softmax_axis",
-    "matmul",
     "conv2d",
     "avgpool_width",
     "bilinear_upsample",
@@ -85,15 +84,6 @@ def softmax_axis(t: np.ndarray, axis: int) -> np.ndarray:
     shifted = t - np.max(t, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2-D matrix product with strict shape checking."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects rank-2 operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def conv2d(

@@ -1,6 +1,13 @@
 """End-to-end forward pipeline: backbone, stacked matching/context layers,
 optimal-transport matching head, and full-resolution refinement.
 
+The matching head reads only the last layer's head-averaged left-query
+cross-attention scores. ``forward`` therefore runs the full ``cstr_layer``
+for every layer but the last, and the last one only up to those scores:
+axial attention on both images, then the masked left-query logits
+(``cross_scores``). Its right-query pass, value projection, context step and
+fusion would produce features nothing reads, so they never run.
+
 Weight naming scheme (all tensors float32, validated against the config
 before any compute):
 
@@ -11,9 +18,11 @@ before any compute):
     refine.conv{1,2}.{kernel,bias}, refine.occ.{kernel,bias}
 
 Every layer carries a full context and fusion parameter set regardless of
-the configured strategy, so one weight file can drive M1, M2 or M3. The
-position-embedding span is fixed at weight-initialization time and recorded
-implicitly in the rel tensor shapes; lines longer than the span are rejected.
+the configured strategy, so one weight file can drive M1, M2 or M3. The last
+layer's context and fusion tensors and its mmp.cross.Wv/Wo stay in the file
+but are unused. The position-embedding span is fixed at weight-initialization
+time and recorded implicitly in the rel tensor shapes; lines longer than the
+span are rejected.
 
 The backbone is a small stack of stride-2 rectified convolutions with shared
 left/right weights; inputs whose extents do not divide the scale factor must
@@ -27,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionWeights, ScoreMatrix, cross_attention, pixel_norm
-from .attention import axial_attention_height, axial_attention_width
+from .attention import AttentionWeights, ScoreMatrix, cross_attention, cross_scores
+from .attention import axial_attention_height, axial_attention_width, pixel_norm
 from .context import (
     CepLayerWeights,
     ContextState,
@@ -255,6 +264,24 @@ def backbone_forward(
     return feat_l, feat_r, ctx
 
 
+def _axial_half(
+    mmp_left: np.ndarray,
+    mmp_right: np.ndarray,
+    layer: int,
+    heads: int,
+    model: ModelDescription,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Width- then height-axial self-attention of one matching-path layer,
+    each sublayer re-normalized per pixel."""
+    wax = model.attn(f"layer{layer}.mmp.wax")
+    hax = model.attn(f"layer{layer}.mmp.hax")
+    left = pixel_norm(axial_attention_width(mmp_left, wax, heads))
+    right = pixel_norm(axial_attention_width(mmp_right, wax, heads))
+    left = pixel_norm(axial_attention_height(left, hax, heads))
+    right = pixel_norm(axial_attention_height(right, hax, heads))
+    return left, right
+
+
 def cstr_layer(
     mmp_left: np.ndarray,
     mmp_right: np.ndarray,
@@ -263,19 +290,18 @@ def cstr_layer(
     config: RunConfig,
     model: ModelDescription,
 ) -> tuple[np.ndarray, np.ndarray, ContextState, ScoreMatrix]:
-    """One stacked layer: axial self-attention, masked cross-attention,
-    context advance, and (when the strategy emits) path fusion."""
+    """One full stacked layer: axial self-attention, masked cross-attention,
+    context advance, and (when the strategy emits) path fusion.
+
+    ``forward`` runs it for every layer but the last; the last layer's
+    features are never read, so there ``forward`` computes only the scores.
+    """
     if not 0 <= layer < config.layers:
         raise ValueError(f"layer {layer} out of range for {config.layers} layers")
     heads = config.heads
-    wax = model.attn(f"layer{layer}.mmp.wax")
-    hax = model.attn(f"layer{layer}.mmp.hax")
-    cross = model.attn(f"layer{layer}.mmp.cross")
-    left = pixel_norm(axial_attention_width(mmp_left, wax, heads))
-    right = pixel_norm(axial_attention_width(mmp_right, wax, heads))
-    left = pixel_norm(axial_attention_height(left, hax, heads))
-    right = pixel_norm(axial_attention_height(right, hax, heads))
+    left, right = _axial_half(mmp_left, mmp_right, layer, heads, model)
     mask = epipolar_mask(left.shape[2], right.shape[2])
+    cross = model.attn(f"layer{layer}.mmp.cross")
     left_x, right_x, scores = cross_attention(left, right, cross, heads, mask)
     left = pixel_norm(left_x)
     right = pixel_norm(right_x)
@@ -287,6 +313,19 @@ def cstr_layer(
         left = path_fusion(left, payload[0], fusion)
         right = path_fusion(right, payload[1], fusion)
     return left, right, ctx_state, scores
+
+
+def _final_scores(
+    mmp_left: np.ndarray, mmp_right: np.ndarray, model: ModelDescription
+) -> ScoreMatrix:
+    """The last layer up to the matching scores: its axial half, then the
+    masked left-query cross-attention logits averaged over heads."""
+    layer = model.config.layers - 1
+    heads = model.config.heads
+    left, right = _axial_half(mmp_left, mmp_right, layer, heads, model)
+    mask = epipolar_mask(left.shape[2], right.shape[2])
+    cross = model.attn(f"layer{layer}.mmp.cross")
+    return cross_scores(left, right, cross, heads, mask)
 
 
 def _line_plans(scores: ScoreMatrix, config: RunConfig) -> AssignmentVolume:
@@ -341,17 +380,20 @@ def forward(
 ) -> tuple[DisparityMap, OcclusionMap, LossBreakdown | None]:
     """Full forward pass: images in, full-resolution disparity/occlusion out.
 
-    Inputs with awkward extents are replicate-padded and the outputs cropped
-    back. When ground truth is supplied the supervision breakdown is
-    computed as well (original extents must then divide the scale factor).
+    Layers 0 .. L-2 run through ``cstr_layer``; the last layer computes only
+    the scores the matching head reads (see the module docstring), which
+    gives the same bytes as running it in full. Inputs with awkward extents
+    are replicate-padded and the outputs cropped back. When ground truth is
+    supplied the supervision breakdown is computed as well (original extents
+    must then divide the scale factor).
     """
     padded, (orig_h, orig_w) = pad_pair_to_multiple(pair, model.config.scale_denominator)
     feat_l, feat_r, ctx = backbone_forward(padded, model)
-    scores: ScoreMatrix | None = None
-    for layer in range(model.config.layers):
-        feat_l, feat_r, ctx, scores = cstr_layer(
+    for layer in range(model.config.layers - 1):
+        feat_l, feat_r, ctx, _ = cstr_layer(
             feat_l, feat_r, ctx, layer, model.config, model
         )
+    scores = _final_scores(feat_l, feat_r, model)
     plans = _line_plans(scores, model.config)
     raw_disp, raw_occ = regress_raw(plans, scale=model.config.mmp_scale)
     disp, occ = refine_full_res(

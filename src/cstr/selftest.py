@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import attention
 from . import ndarray as nd
 from .attention import AttentionWeights, cross_attention
 from .attention import axial_attention_height, axial_attention_width, relative_logits
@@ -542,7 +543,11 @@ CHECKS = [
 
 
 class corrupted_softmax:
-    """Test hook: make softmax_axis mis-normalize while the context is held."""
+    """Test hook: make softmax_axis mis-normalize while the context is held.
+
+    Both bindings are patched: ``ndarray``'s own, and the one ``attention``
+    imported, through which every attention call goes.
+    """
 
     def __enter__(self):
         self._orig = nd.softmax_axis
@@ -551,10 +556,12 @@ class corrupted_softmax:
             return self._orig(t, axis) + np.float32(0.01)
 
         nd.softmax_axis = broken
+        attention.softmax_axis = broken
         return self
 
     def __exit__(self, *exc):
         nd.softmax_axis = self._orig
+        attention.softmax_axis = self._orig
         return False
 
 

@@ -7,6 +7,7 @@ from cstr import (
     axial_attention_height,
     axial_attention_width,
     cross_attention,
+    cross_scores,
     epipolar_mask,
     pixel_norm,
     relative_logits,
@@ -366,6 +367,40 @@ def test_cross_rejects_fully_masked_row():
     mask[0, 0] = 0  # rows 1..2 remain fully masked
     with pytest.raises(ValueError):
         cross_attention(f, f, w, 1, mask)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("length", [1, SPAN])
+def test_cross_scores_bytes_equal_cross_attention_scores(length, heads, masked):
+    c = 8
+    w = make_weights(Rng(80 + heads), c, heads, SPAN)
+    rng = Rng(90 + length)
+    left = seeded_normal(rng, (c, 3, length), 1.0)
+    right = seeded_normal(rng, (c, 3, length), 1.0)
+    mask = epipolar_mask(length, length) if masked else None
+    want = cross_attention(left, right, w, heads, mask)[2].logits
+    got = cross_scores(left, right, w, heads, mask).logits
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        np.zeros((3, 4), dtype=F32),  # mis-shaped
+        np.triu(np.full((3, 3), -np.inf, dtype=F32)),  # row 0 keeps no key
+    ],
+    ids=["misshaped", "fully_masked_row"],
+)
+def test_cross_scores_rejects_masks_like_cross_attention(mask):
+    w = make_weights(Rng(21), 2, 1, span=8)
+    f = seeded_normal(Rng(22), (2, 1, 3), 1.0)
+    with pytest.raises(ValueError) as want:
+        cross_attention(f, f, w, 1, mask)
+    with pytest.raises(ValueError) as got:
+        cross_scores(f, f, w, 1, mask)
+    assert str(got.value) == str(want.value)
 
 
 def test_cross_shape_mismatch():

@@ -298,6 +298,11 @@ def test_selftest_corruption_hook_fails_softmax_check():
         env=env,
     )
     assert proc.returncode == 3
-    assert any(
-        l.startswith("softmax_normalization: FAIL") for l in proc.stdout.splitlines()
-    )
+    failed = {l.split(":")[0] for l in proc.stdout.splitlines() if ": FAIL" in l}
+    # attention imported softmax_axis by name, so its oracles must fail too
+    assert {
+        "softmax_normalization",
+        "axial_width_dense_oracle",
+        "axial_height_dense_oracle",
+        "cross_attention_dense_oracle",
+    } <= failed

@@ -9,7 +9,6 @@ from cstr import (
     bilinear_upsample,
     conv2d,
     linear_interp_1d,
-    matmul,
     seeded_normal,
     softmax_axis,
     tensor,
@@ -72,31 +71,6 @@ def test_softmax_rows_sum_to_one(seed):
     s = softmax_axis(t, axis=1)
     assert np.abs(s.sum(axis=1) - 1).max() < 1e-6
     assert (s >= 0).all()
-
-
-# --- matmul ---
-
-
-def test_matmul_identity():
-    x = tensor(np.arange(12, dtype=F32).reshape(3, 4))
-    np.testing.assert_allclose(matmul(np.eye(3, dtype=F32), x), x, atol=1e-6)
-    np.testing.assert_allclose(matmul(x, np.eye(4, dtype=F32)), x, atol=1e-6)
-
-
-def test_matmul_zero():
-    out = matmul(np.zeros((2, 3), dtype=F32), np.ones((3, 4), dtype=F32))
-    np.testing.assert_array_equal(out, np.zeros((2, 4), dtype=F32))
-
-
-def test_matmul_hand_values():
-    a = tensor([[1, 2], [3, 4]])
-    b = tensor([[5], [6]])
-    np.testing.assert_array_equal(matmul(a, b), [[17.0], [39.0]])
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.zeros((2, 3), dtype=F32), np.zeros((4, 2), dtype=F32))
 
 
 # --- conv2d ---

@@ -16,7 +16,9 @@ from cstr import (
     forward,
     init_weights,
     pad_pair_to_multiple,
+    refine_full_res,
     relative_logits,
+    seeded_normal,
     weight_spec,
 )
 from cstr.pipeline import _line_plans
@@ -401,3 +403,76 @@ def test_default_forward_bytes_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.split())
     assert digests[0] == digests[1]
+
+
+# --- lean last layer ---
+
+
+def full_layers_reference(pair, model):
+    """forward as it was before the lean last layer: every layer through
+    cstr_layer, then the unchanged matching head and the clip."""
+    config = model.config
+    _, _, scores = run_layers(config, model, pair)
+    raw_disp, raw_occ = regress_raw(_line_plans(scores, config), scale=config.mmp_scale)
+    disp, occ = refine_full_res(raw_disp, raw_occ, pair.left, model.refine_weights())
+    w = pair.shape[2]
+    return np.clip(disp.values, F32(0), F32(w - 1)), occ.probs
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("strategy", ["M1", "M2", "M3"])
+def test_forward_bytes_equal_full_last_layer_reference(strategy, layers):
+    config = RunConfig(layers=layers, channels=8, heads=2, cep_strategy=strategy)
+    model = tiny_model(seed=40 + layers, config=config)
+    pair = random_pair(seed=50 + layers)
+    want_disp, want_occ = full_layers_reference(pair, model)
+    disp, occ, _ = forward(pair, model)
+    assert disp.values.tobytes() == want_disp.tobytes()
+    assert occ.probs.tobytes() == want_occ.tobytes()
+
+
+LIVENESS = RunConfig(layers=3, channels=8, heads=2)
+# The last layer feeds the matching head its scores only, so its context
+# path, its fusion and its value/output projections never reach an output.
+LAST_LAYER_DEAD = {
+    *(f"fusion2.conv{i}.{p}" for i in (1, 2) for p in ("kernel", "bias")),
+    *(
+        f"layer2.cep.{sub}.{mat}"
+        for sub in ("wax", "hax", "cross")
+        for mat in ("Wq", "Wk", "Wv", "Wo", "rel")
+    ),
+    "layer2.mmp.cross.Wv",
+    "layer2.mmp.cross.Wo",
+}
+DEAD_TENSORS = {
+    "M1": LAST_LAYER_DEAD,
+    # M2 emits its only context payload at the last layer, so its whole
+    # context path is dead; which M2 is meant is open (ROADMAP item 2).
+    "M2": LAST_LAYER_DEAD
+    | {n for n in weight_spec(LIVENESS) if n.startswith("fusion") or ".cep." in n},
+    "M3": LAST_LAYER_DEAD,
+}
+
+
+@pytest.mark.parametrize("strategy", ["M1", "M2", "M3"])
+def test_every_tensor_outside_the_dead_set_moves_the_output(strategy):
+    # seeded noise, not scaling: biases are zero at init
+    config = RunConfig(layers=3, channels=8, heads=2, cep_strategy=strategy)
+    store = init_weights(config, span=16, seed=60)
+    pair = random_pair(seed=61)
+
+    def output_bytes(tensors):
+        disp, occ, _ = forward(pair, ModelDescription(config, WeightStore(tensors)))
+        return disp.values.tobytes() + occ.probs.tobytes()
+
+    tensors = dict(store.items())
+    base = output_bytes(tensors)
+    rng = Rng(62)
+    dead = set()
+    for name, value in store.items():
+        noisy = dict(tensors)
+        noisy[name] = value + seeded_normal(rng, value.shape, 0.1)
+        if output_bytes(noisy) == base:
+            dead.add(name)
+    assert len(tensors) == 112
+    assert dead == DEAD_TENSORS[strategy]
