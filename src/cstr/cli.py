@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 IO/format error, 3 self-test failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -109,8 +108,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    corrupt = os.environ.get("CSTR_SELFTEST_CORRUPT") or None
-    results = run_all(corrupt=corrupt, out=sys.stdout)
+    results = run_all(out=sys.stdout)
     failed = [name for name, passed, _ in results if not passed]
     print(
         f"{len(results) - len(failed)}/{len(results)} checks passed",

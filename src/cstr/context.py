@@ -51,7 +51,6 @@ class ContextState:
     left_ctx: np.ndarray
     right_ctx: np.ndarray
     strategy: str
-    layer_index: int = 0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -92,7 +91,6 @@ def make_context_features(
         left_ctx=avgpool_width(backbone_feat_left, 2 * width_factor),
         right_ctx=avgpool_width(backbone_feat_right, 2 * width_factor),
         strategy=strategy,
-        layer_index=0,
     )
 
 
@@ -141,9 +139,7 @@ def cep_step(
     else:  # M3
         payload = _cross_pass(ax_l, ax_r, weights, heads)
         carried = payload
-    next_state = replace(
-        state, left_ctx=carried[0], right_ctx=carried[1], layer_index=layer + 1
-    )
+    next_state = replace(state, left_ctx=carried[0], right_ctx=carried[1])
     return next_state, payload
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "write_weights",
     "parse_config",
     "rgb_to_gray",
-    "load_image",
 ]
 
 WEIGHT_MAGIC = b"CSTRW001"
@@ -468,8 +467,3 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _CONFIG_PARSERS[key](key, raw)
     return RunConfig(**values)
-
-
-def load_image(path) -> np.ndarray:
-    """Read a PGM image as a single-channel (1, h, w) tensor in [0, 1]."""
-    return read_pgm(path)[None, :, :]

@@ -37,6 +37,9 @@ __all__ = [
 # forward pipeline stays training-free.
 DUSTBIN_COST = 0.0
 
+# Candidate offsets around the argmax anchor that ``regress_raw`` weighs.
+_WINDOW_OFFSETS = np.array([-1, 0, 1])
+
 
 @dataclass(frozen=True)
 class AssignmentVolume:
@@ -196,11 +199,10 @@ def regress_raw(
     disparity = np.empty((lines, n), dtype=np.float32)
     occlusion = np.empty((lines, n), dtype=np.float32)
     left_index = np.arange(n)[:, None]
-    offsets = np.array([-1, 0, 1])
     for y in range(lines):
         t = real[y]
         anchor = np.argmax(t, axis=1)
-        window = anchor[:, None] + offsets[None, :]
+        window = anchor[:, None] + _WINDOW_OFFSETS[None, :]
         valid = (window >= 0) & (window < m)
         clipped = np.clip(window, 0, m - 1)
         scores = np.take_along_axis(t, clipped, axis=1) * valid

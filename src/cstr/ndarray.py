@@ -86,19 +86,12 @@ def softmax_axis(t: np.ndarray, axis: int) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def conv2d(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    bias: np.ndarray,
-    padding: str = "same",
-) -> np.ndarray:
+def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Same-size 2-D cross-correlation over a (channels, h, w) tensor.
 
     Kernel layout is (out_channels, in_channels, kh, kw) with odd kh/kw; the
     input is zero-padded so the output keeps the spatial extents.
     """
-    if padding != "same":
-        raise ValueError("only 'same' padding is supported")
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError("conv2d expects (c,h,w) input and (o,c,kh,kw) kernel")
     c_in, h, w = x.shape

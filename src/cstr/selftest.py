@@ -3,8 +3,8 @@ independent oracle (brute-force attention, a reference transport solver,
 direct window arithmetic, finite differences) or a frozen identity.
 
 Each check returns (passed, detail); ``run_all`` executes the registry in
-order and reports one result per check. The ``corrupt`` hook deliberately
-breaks one primitive so the harness itself can be tested for sensitivity.
+order and reports one result per check. The oracles are public so the test
+suite imports these same copies instead of keeping its own.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import attention
 from . import ndarray as nd
 from .attention import AttentionWeights, cross_attention
 from .attention import axial_attention_height, axial_attention_width, relative_logits
@@ -41,10 +40,18 @@ from .metrics import epe, occ_iou, three_px_error
 from .pipeline import ModelDescription, forward, init_weights
 from .ndarray import Rng, seeded_normal
 
-__all__ = ["CHECKS", "run_all", "corrupted_softmax"]
+__all__ = [
+    "CHECKS",
+    "run_all",
+    "random_attention_weights",
+    "dense_attention_oracle",
+    "reference_sinkhorn",
+    "direct_regression",
+]
 
 
-def _random_attention_weights(rng: Rng, c: int, heads: int, span: int) -> AttentionWeights:
+def random_attention_weights(rng: Rng, c: int, heads: int, span: int) -> AttentionWeights:
+    """Seeded attention parameters: c x c projections, a (2*span-1, c/heads) table."""
     std = 1.0 / np.sqrt(c)
     return AttentionWeights(
         Wq=seeded_normal(rng, (c, c), std),
@@ -55,7 +62,7 @@ def _random_attention_weights(rng: Rng, c: int, heads: int, span: int) -> Attent
     )
 
 
-def _dense_attention_oracle(
+def dense_attention_oracle(
     x_q: np.ndarray,
     x_kv: np.ndarray,
     w: AttentionWeights,
@@ -69,12 +76,12 @@ def _dense_attention_oracle(
     span = w.span
     xq = x_q.astype(np.float64)
     xk = x_kv.astype(np.float64)
+    wq, wk = w.Wq.astype(np.float64), w.Wk.astype(np.float64)
+    wv, wo = w.Wv.astype(np.float64), w.Wo.astype(np.float64)
     rel = w.rel_pos.astype(np.float64)
     out = np.zeros((n, c))
     for h in range(heads):
         hs = slice(h * ch, (h + 1) * ch)
-        wq = w.Wq.astype(np.float64)
-        wk = w.Wk.astype(np.float64)
         logits = np.zeros((n, m))
         for i in range(n):
             qi = xq[i] @ wq[:, hs]
@@ -92,9 +99,9 @@ def _dense_attention_oracle(
             attn = e / e.sum()
             acc = np.zeros(ch)
             for j in range(m):
-                acc += attn[j] * (xk[j] @ w.Wv.astype(np.float64)[:, hs])
+                acc += attn[j] * (xk[j] @ wv[:, hs])
             out[i, hs] = acc
-    return out @ w.Wo.astype(np.float64)
+    return out @ wo
 
 
 def check_softmax_normalization() -> tuple[bool, str]:
@@ -118,7 +125,7 @@ def _axial_check(direction: str) -> tuple[bool, str]:
         heads = 2 if c % 2 == 0 else 1
         h = int(rng.generator.integers(1, 17))
         w = int(rng.generator.integers(1, 17))
-        weights = _random_attention_weights(rng, c, heads, span=16)
+        weights = random_attention_weights(rng, c, heads, span=16)
         f = seeded_normal(rng, (c, h, w), 1.0)
         if direction == "width":
             got = axial_attention_width(f, weights, heads)
@@ -127,7 +134,7 @@ def _axial_check(direction: str) -> tuple[bool, str]:
             got = axial_attention_height(f, weights, heads)
             lines = [f[:, :, x].T for x in range(w)]
         for idx, line in enumerate(lines):
-            want = line + _dense_attention_oracle(line, line, weights, heads)
+            want = line + dense_attention_oracle(line, line, weights, heads)
             if direction == "width":
                 diff = np.abs(got[:, idx, :].T - want).max()
             else:
@@ -152,7 +159,7 @@ def check_cross_attention_dense_oracle() -> tuple[bool, str]:
         c, heads = 4, 2
         h = int(rng.generator.integers(1, 5))
         w = int(rng.generator.integers(2, 9))
-        weights = _random_attention_weights(rng, c, heads, span=16)
+        weights = random_attention_weights(rng, c, heads, span=16)
         left = seeded_normal(rng, (c, h, w), 1.0)
         right = seeded_normal(rng, (c, h, w), 1.0)
         mask = epipolar_mask(w, w) if case % 2 == 0 else None
@@ -160,9 +167,9 @@ def check_cross_attention_dense_oracle() -> tuple[bool, str]:
         for y in range(h):
             lq = left[:, y, :].T
             rq = right[:, y, :].T
-            want_l = lq + _dense_attention_oracle(lq, rq, weights, heads, mask)
+            want_l = lq + dense_attention_oracle(lq, rq, weights, heads, mask)
             mask_t = None if mask is None else mask.T
-            want_r = rq + _dense_attention_oracle(rq, lq, weights, heads, mask_t)
+            want_r = rq + dense_attention_oracle(rq, lq, weights, heads, mask_t)
             worst = max(worst, float(np.abs(got_l[:, y, :].T - want_l).max()))
             worst = max(worst, float(np.abs(got_r[:, y, :].T - want_r).max()))
     return worst < 1e-5, f"max |diff| = {worst:.2e}"
@@ -172,7 +179,7 @@ def check_position_encoding_structure() -> tuple[bool, str]:
     rng = Rng(24)
     c, heads, span, n = 8, 2, 12, 6
     ch = c // heads
-    weights = _random_attention_weights(rng, c, heads, span)
+    weights = random_attention_weights(rng, c, heads, span)
     x = seeded_normal(rng, (n, c), 1.0)
     zero_rel = AttentionWeights(
         weights.Wq, weights.Wk, weights.Wv, weights.Wo,
@@ -192,7 +199,9 @@ def check_position_encoding_structure() -> tuple[bool, str]:
     return True, "content-only and zero-content identities hold exactly"
 
 
-def _reference_sinkhorn(cost: np.ndarray, iters: int, eps: float, dustbin: float):
+def reference_sinkhorn(
+    cost: np.ndarray, iters: int, eps: float, dustbin: float = 0.0
+) -> np.ndarray:
     """Multiplicative-domain float64 transport solver (independent oracle)."""
     n, m = cost.shape
     full = np.full((n + 1, m + 1), dustbin, dtype=np.float64)
@@ -245,12 +254,12 @@ def check_sinkhorn_reference_agreement() -> tuple[bool, str]:
         m = int(rng.generator.integers(1, 9))
         cost = rng.generator.random((n, m), dtype=np.float32) * 4
         got = sinkhorn(cost, iters=10, epsilon=0.1)
-        want = _reference_sinkhorn(cost, iters=10, eps=0.1, dustbin=0.0)
+        want = reference_sinkhorn(cost, iters=10, eps=0.1)
         worst = max(worst, float(np.abs(got - want).max()))
     return worst < 1e-4, f"max |plan diff| = {worst:.2e}"
 
 
-def _direct_regression(row: np.ndarray, i: int) -> tuple[float, float]:
+def direct_regression(row: np.ndarray, i: int) -> tuple[float, float]:
     """Direct float32 window arithmetic for one plan row of real candidates."""
     m = row.shape[0]
     anchor = int(np.argmax(row))
@@ -274,7 +283,7 @@ def check_disparity_regression_oracle() -> tuple[bool, str]:
         plan = rng.generator.random((1, n + 1, m + 1), dtype=np.float32)
         disp, occ = regress_raw(AssignmentVolume(plan))
         for i in range(n):
-            want_d, want_o = _direct_regression(plan[0, i, :m], i)
+            want_d, want_o = direct_regression(plan[0, i, :m], i)
             worst = max(worst, abs(float(disp.values[0, i]) - want_d))
             worst = max(worst, abs(float(occ.probs[0, i]) - want_o))
     # frozen worked example: window scores summing to 1 over candidate
@@ -351,9 +360,9 @@ def check_cep_payload_schedule() -> tuple[bool, str]:
         state = make_context_features(feat, feat, 1, strategy)
         layer_weights = [
             CepLayerWeights(
-                wax=_random_attention_weights(rng, c, heads, 8),
-                hax=_random_attention_weights(rng, c, heads, 8),
-                cross=_random_attention_weights(rng, c, heads, 8),
+                wax=random_attention_weights(rng, c, heads, 8),
+                hax=random_attention_weights(rng, c, heads, 8),
+                cross=random_attention_weights(rng, c, heads, 8),
             )
             for _ in range(layers)
         ]
@@ -542,48 +551,16 @@ CHECKS = [
 ]
 
 
-class corrupted_softmax:
-    """Test hook: make softmax_axis mis-normalize while the context is held.
-
-    Both bindings are patched: ``ndarray``'s own, and the one ``attention``
-    imported, through which every attention call goes.
-    """
-
-    def __enter__(self):
-        self._orig = nd.softmax_axis
-
-        def broken(t, axis):
-            return self._orig(t, axis) + np.float32(0.01)
-
-        nd.softmax_axis = broken
-        attention.softmax_axis = broken
-        return self
-
-    def __exit__(self, *exc):
-        nd.softmax_axis = self._orig
-        attention.softmax_axis = self._orig
-        return False
-
-
-def run_all(corrupt: str | None = None, out=None):
+def run_all(out=None):
     """Run every check, print one line per check, return the results list."""
-    if corrupt not in (None, "", "softmax"):
-        raise ValueError(f"unknown corruption hook {corrupt!r}")
     results = []
-    hook = corrupted_softmax() if corrupt == "softmax" else None
-    if hook:
-        hook.__enter__()
-    try:
-        for name, fn in CHECKS:
-            try:
-                passed, detail = fn()
-            except Exception as exc:  # a crashed check is a failed check
-                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-            results.append((name, bool(passed), detail))
-            if out is not None:
-                status = "PASS" if passed else "FAIL"
-                print(f"{name}: {status} ({detail})", file=out)
-    finally:
-        if hook:
-            hook.__exit__(None, None, None)
+    for name, fn in CHECKS:
+        try:
+            passed, detail = fn()
+        except Exception as exc:  # a crashed check is a failed check
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append((name, bool(passed), detail))
+        if out is not None:
+            status = "PASS" if passed else "FAIL"
+            print(f"{name}: {status} ({detail})", file=out)
     return results

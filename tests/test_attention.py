@@ -13,49 +13,9 @@ from cstr import (
     relative_logits,
     seeded_normal,
 )
+from cstr.selftest import dense_attention_oracle, random_attention_weights
 
 F32 = np.float32
-
-
-def make_weights(rng: Rng, c: int, heads: int, span: int) -> AttentionWeights:
-    std = 1.0 / np.sqrt(c)
-    return AttentionWeights(
-        Wq=seeded_normal(rng, (c, c), std),
-        Wk=seeded_normal(rng, (c, c), std),
-        Wv=seeded_normal(rng, (c, c), std),
-        Wo=seeded_normal(rng, (c, c), std),
-        rel_pos=seeded_normal(rng, (2 * span - 1, c // heads), 0.1),
-    )
-
-
-def dense_line_attention(x_q, x_kv, w: AttentionWeights, heads: int, mask=None):
-    """Brute-force float64 attention over one token line (independent oracle)."""
-    n, c = x_q.shape
-    m = x_kv.shape[0]
-    ch = c // heads
-    span = w.span
-    xq, xk = x_q.astype(np.float64), x_kv.astype(np.float64)
-    wq, wk = w.Wq.astype(np.float64), w.Wk.astype(np.float64)
-    wv, wo = w.Wv.astype(np.float64), w.Wo.astype(np.float64)
-    rel = w.rel_pos.astype(np.float64)
-    out = np.zeros((n, c))
-    for h in range(heads):
-        hs = slice(h * ch, (h + 1) * ch)
-        for i in range(n):
-            logits = np.empty(m)
-            qi = xq[i] @ wq[:, hs]
-            for j in range(m):
-                kj = xk[j] @ wk[:, hs]
-                r = rel[j - i + span - 1]
-                logits[j] = (
-                    qi @ kj + qi @ (r @ wk[hs, hs]) + (r @ wq[hs, hs]) @ kj
-                ) / np.sqrt(ch)
-                if mask is not None:
-                    logits[j] += mask[i, j]
-            e = np.exp(logits - logits.max())
-            attn = e / e.sum()
-            out[i, hs] = sum(attn[j] * (xk[j] @ wv[:, hs]) for j in range(m))
-    return out @ wo
 
 
 # --- relative_logits structure ---
@@ -64,7 +24,7 @@ def dense_line_attention(x_q, x_kv, w: AttentionWeights, heads: int, mask=None):
 def test_zero_rel_pos_reduces_to_content():
     rng = Rng(1)
     c, heads = 6, 3
-    w = make_weights(rng, c, heads, span=8)
+    w = random_attention_weights(rng, c, heads, span=8)
     w = AttentionWeights(w.Wq, w.Wk, w.Wv, w.Wo, np.zeros_like(w.rel_pos))
     x = seeded_normal(rng, (5, c), 1.0)
     ch = c // heads
@@ -76,7 +36,7 @@ def test_zero_rel_pos_reduces_to_content():
 
 def test_zero_content_gives_zero_logits():
     rng = Rng(2)
-    w = make_weights(rng, 4, 2, span=8)
+    w = random_attention_weights(rng, 4, 2, span=8)
     x = np.zeros((6, 4), dtype=F32)
     for head in range(2):
         np.testing.assert_array_equal(
@@ -109,7 +69,7 @@ def test_relative_logits_hand_case():
 
 
 def test_relative_logits_rejects_long_lines():
-    w = make_weights(Rng(3), 4, 2, span=4)
+    w = random_attention_weights(Rng(3), 4, 2, span=4)
     x = np.zeros((5, 4), dtype=F32)
     with pytest.raises(ValueError):
         relative_logits(x, w, 0)
@@ -120,7 +80,7 @@ def test_relative_logits_with_keys_matches_dense_oracle():
 
     # n != m in both directions, up to the whole window (n or m = span)
     span, c, heads = 6, 8, 2
-    w = make_weights(Rng(21), c, heads, span)
+    w = random_attention_weights(Rng(21), c, heads, span)
     ch = c // heads
     for n, m in ((2, 5), (5, 2), (1, span), (span, 1), (span, span - 1)):
         rng = Rng(100 + 10 * n + m)
@@ -133,7 +93,7 @@ def test_relative_logits_with_keys_matches_dense_oracle():
             logits = relative_logits(x, w, head, keys=keys)
             assert logits.shape == (n, m)
             out[:, hs] = softmax_axis(logits, axis=1) @ v[:, hs]
-        want = dense_line_attention(x, keys, w, heads)
+        want = dense_attention_oracle(x, keys, w, heads)
         np.testing.assert_allclose(out @ w.Wo, want, atol=1e-5)
 
 
@@ -143,7 +103,7 @@ def test_relative_logits_with_keys_matches_dense_oracle():
 def test_width_single_token_row():
     rng = Rng(4)
     c, heads = 4, 2
-    w = make_weights(rng, c, heads, span=4)
+    w = random_attention_weights(rng, c, heads, span=4)
     f = seeded_normal(rng, (c, 3, 1), 1.0)
     got = axial_attention_width(f, w, heads)
     for y in range(3):
@@ -155,7 +115,7 @@ def test_width_single_token_row():
 def test_width_zero_query_gives_uniform_attention():
     rng = Rng(5)
     c, heads, wpix = 4, 2, 6
-    w = make_weights(rng, c, heads, span=8)
+    w = random_attention_weights(rng, c, heads, span=8)
     w = AttentionWeights(np.zeros_like(w.Wq), w.Wk, w.Wv, w.Wo, np.zeros_like(w.rel_pos))
     f = seeded_normal(rng, (c, 2, wpix), 1.0)
     got = axial_attention_width(f, w, heads)
@@ -169,19 +129,19 @@ def test_width_zero_query_gives_uniform_attention():
 def test_width_matches_dense_oracle():
     rng = Rng(6)
     c, heads = 8, 4
-    w = make_weights(rng, c, heads, span=16)
+    w = random_attention_weights(rng, c, heads, span=16)
     f = seeded_normal(rng, (c, 4, 8), 1.0)
     got = axial_attention_width(f, w, heads)
     for y in range(4):
         line = f[:, y, :].T
-        want = line + dense_line_attention(line, line, w, heads)
+        want = line + dense_attention_oracle(line, line, w, heads)
         np.testing.assert_allclose(got[:, y, :].T, want, atol=1e-5)
 
 
 def test_height_single_token_column():
     rng = Rng(7)
     c, heads = 4, 2
-    w = make_weights(rng, c, heads, span=4)
+    w = random_attention_weights(rng, c, heads, span=4)
     f = seeded_normal(rng, (c, 1, 5), 1.0)
     got = axial_attention_height(f, w, heads)
     for x in range(5):
@@ -193,19 +153,19 @@ def test_height_single_token_column():
 def test_height_matches_dense_oracle():
     rng = Rng(8)
     c, heads = 6, 2
-    w = make_weights(rng, c, heads, span=8)
+    w = random_attention_weights(rng, c, heads, span=8)
     f = seeded_normal(rng, (c, 6, 3), 1.0)
     got = axial_attention_height(f, w, heads)
     for x in range(3):
         col = f[:, :, x].T
-        want = col + dense_line_attention(col, col, w, heads)
+        want = col + dense_attention_oracle(col, col, w, heads)
         np.testing.assert_allclose(got[:, :, x].T, want, atol=1e-5)
 
 
 def test_height_is_width_of_transpose():
     rng = Rng(9)
     c, heads = 4, 2
-    w = make_weights(rng, c, heads, span=8)
+    w = random_attention_weights(rng, c, heads, span=8)
     f = seeded_normal(rng, (c, 5, 7), 1.0)
     by_height = axial_attention_height(f, w, heads)
     by_width_of_t = axial_attention_width(f.transpose(0, 2, 1), w, heads)
@@ -215,7 +175,7 @@ def test_height_is_width_of_transpose():
 def test_zero_rel_pos_shift_equivariance():
     rng = Rng(10)
     c, heads, wpix = 4, 2, 6
-    w = make_weights(rng, c, heads, span=8)
+    w = random_attention_weights(rng, c, heads, span=8)
     w = AttentionWeights(w.Wq, w.Wk, w.Wv, w.Wo, np.zeros_like(w.rel_pos))
     f = seeded_normal(rng, (c, 1, wpix), 1.0)
     pre = axial_attention_width(f, w, heads) - f
@@ -231,13 +191,14 @@ def test_output_shape_independent_of_heads():
     f = seeded_normal(rng, (c, 3, 5), 1.0)
     shapes = set()
     for heads in (1, 2, 4, 8):
-        w = make_weights(Rng(12), c, heads, span=8)
+        w = random_attention_weights(Rng(12), c, heads, span=8)
         shapes.add(axial_attention_width(f, w, heads).shape)
     assert shapes == {(8, 3, 5)}
 
 
 def test_head_mismatch_rejected():
-    w = make_weights(Rng(13), 8, 4, span=8)  # rel table sized for 2 channels/head
+    # rel table sized for 2 channels/head
+    w = random_attention_weights(Rng(13), 8, 4, span=8)
     f = np.zeros((8, 2, 2), dtype=F32)
     with pytest.raises(ValueError):
         axial_attention_width(f, w, 2)
@@ -252,12 +213,12 @@ SPAN = 6
 @pytest.mark.parametrize("length", [1, SPAN - 1, SPAN])
 def test_width_matches_dense_oracle_at_window_edges(length, heads):
     c = 8
-    w = make_weights(Rng(30 + heads), c, heads, SPAN)
+    w = random_attention_weights(Rng(30 + heads), c, heads, SPAN)
     f = seeded_normal(Rng(40 + length), (c, 2, length), 1.0)
     got = axial_attention_width(f, w, heads)
     for y in range(2):
         line = f[:, y, :].T
-        want = line + dense_line_attention(line, line, w, heads)
+        want = line + dense_attention_oracle(line, line, w, heads)
         np.testing.assert_allclose(got[:, y, :].T, want, atol=1e-5)
 
 
@@ -265,7 +226,7 @@ def test_width_matches_dense_oracle_at_window_edges(length, heads):
 @pytest.mark.parametrize("length", [1, SPAN - 1, SPAN])
 def test_cross_matches_dense_oracle_at_window_edges(length, heads):
     c = 8
-    w = make_weights(Rng(50 + heads), c, heads, SPAN)
+    w = random_attention_weights(Rng(50 + heads), c, heads, SPAN)
     rng = Rng(60 + length)
     left_in = seeded_normal(rng, (c, 2, length), 1.0)
     right_in = seeded_normal(rng, (c, 2, length), 1.0)
@@ -274,15 +235,15 @@ def test_cross_matches_dense_oracle_at_window_edges(length, heads):
     for y in range(2):
         lq = left_in[:, y, :].T
         rq = right_in[:, y, :].T
-        want_l = lq + dense_line_attention(lq, rq, w, heads, mask)
-        want_r = rq + dense_line_attention(rq, lq, w, heads, mask.T)
+        want_l = lq + dense_attention_oracle(lq, rq, w, heads, mask)
+        want_r = rq + dense_attention_oracle(rq, lq, w, heads, mask.T)
         np.testing.assert_allclose(left[:, y, :].T, want_l, atol=1e-5)
         np.testing.assert_allclose(right[:, y, :].T, want_r, atol=1e-5)
 
 
 def test_lines_longer_than_span_rejected():
     c, heads = 4, 2
-    w = make_weights(Rng(70), c, heads, SPAN)
+    w = random_attention_weights(Rng(70), c, heads, SPAN)
     long_rows = np.zeros((c, 2, SPAN + 1), dtype=F32)
     with pytest.raises(ValueError, match="exceeds the position-embedding span"):
         axial_attention_width(long_rows, w, heads)
@@ -298,7 +259,7 @@ def test_lines_longer_than_span_rejected():
 def test_cross_uniform_when_queries_vanish():
     rng = Rng(14)
     c, heads, wpix = 4, 2, 5
-    w = make_weights(rng, c, heads, span=8)
+    w = random_attention_weights(rng, c, heads, span=8)
     w = AttentionWeights(np.zeros_like(w.Wq), w.Wk, w.Wv, w.Wo, np.zeros_like(w.rel_pos))
     f = seeded_normal(rng, (c, 2, wpix), 1.0)
     left, right, _ = cross_attention(f, f, w, heads)
@@ -313,7 +274,7 @@ def test_cross_uniform_when_queries_vanish():
 def test_cross_diagonal_mask_selects_same_index():
     rng = Rng(15)
     c, heads, wpix = 4, 2, 4
-    w = make_weights(rng, c, heads, span=8)
+    w = random_attention_weights(rng, c, heads, span=8)
     mask = np.where(np.eye(wpix, dtype=bool), F32(0), F32(-np.inf))
     left_in = seeded_normal(rng, (c, 1, wpix), 1.0)
     right_in = seeded_normal(rng, (c, 1, wpix), 1.0)
@@ -328,7 +289,7 @@ def test_cross_diagonal_mask_selects_same_index():
 def test_cross_matches_masked_dense_oracle():
     rng = Rng(16)
     c, heads = 1, 1
-    w = make_weights(rng, c, heads, span=8)
+    w = random_attention_weights(rng, c, heads, span=8)
     left_in = seeded_normal(rng, (c, 4, 4), 1.0)
     right_in = seeded_normal(rng, (c, 4, 4), 1.0)
     mask = epipolar_mask(4, 4)
@@ -336,8 +297,8 @@ def test_cross_matches_masked_dense_oracle():
     for y in range(4):
         lq = left_in[:, y, :].T
         rq = right_in[:, y, :].T
-        want_l = lq + dense_line_attention(lq, rq, w, heads, mask)
-        want_r = rq + dense_line_attention(rq, lq, w, heads, mask.T)
+        want_l = lq + dense_attention_oracle(lq, rq, w, heads, mask)
+        want_r = rq + dense_attention_oracle(rq, lq, w, heads, mask.T)
         np.testing.assert_allclose(left[:, y, :].T, want_l, atol=1e-5)
         np.testing.assert_allclose(right[:, y, :].T, want_r, atol=1e-5)
     assert scores.logits.shape == (4, 4, 4)
@@ -349,7 +310,7 @@ def test_cross_scores_softmax_sums_to_one_over_unmasked():
 
     rng = Rng(17)
     c, heads = 4, 2
-    w = make_weights(rng, c, heads, span=8)
+    w = random_attention_weights(rng, c, heads, span=8)
     f = seeded_normal(rng, (c, 3, 6), 1.0)
     g = seeded_normal(rng, (c, 3, 6), 1.0)
     mask = epipolar_mask(6, 6)
@@ -361,7 +322,7 @@ def test_cross_scores_softmax_sums_to_one_over_unmasked():
 
 def test_cross_rejects_fully_masked_row():
     rng = Rng(18)
-    w = make_weights(rng, 2, 1, span=8)
+    w = random_attention_weights(rng, 2, 1, span=8)
     f = seeded_normal(rng, (2, 1, 3), 1.0)
     mask = np.full((3, 3), -np.inf, dtype=F32)
     mask[0, 0] = 0  # rows 1..2 remain fully masked
@@ -374,7 +335,7 @@ def test_cross_rejects_fully_masked_row():
 @pytest.mark.parametrize("length", [1, SPAN])
 def test_cross_scores_bytes_equal_cross_attention_scores(length, heads, masked):
     c = 8
-    w = make_weights(Rng(80 + heads), c, heads, SPAN)
+    w = random_attention_weights(Rng(80 + heads), c, heads, SPAN)
     rng = Rng(90 + length)
     left = seeded_normal(rng, (c, 3, length), 1.0)
     right = seeded_normal(rng, (c, 3, length), 1.0)
@@ -394,7 +355,7 @@ def test_cross_scores_bytes_equal_cross_attention_scores(length, heads, masked):
     ids=["misshaped", "fully_masked_row"],
 )
 def test_cross_scores_rejects_masks_like_cross_attention(mask):
-    w = make_weights(Rng(21), 2, 1, span=8)
+    w = random_attention_weights(Rng(21), 2, 1, span=8)
     f = seeded_normal(Rng(22), (2, 1, 3), 1.0)
     with pytest.raises(ValueError) as want:
         cross_attention(f, f, w, 1, mask)
@@ -404,7 +365,7 @@ def test_cross_scores_rejects_masks_like_cross_attention(mask):
 
 
 def test_cross_shape_mismatch():
-    w = make_weights(Rng(19), 2, 1, span=8)
+    w = random_attention_weights(Rng(19), 2, 1, span=8)
     with pytest.raises(ValueError):
         cross_attention(
             np.zeros((2, 2, 3), dtype=F32), np.zeros((2, 2, 4), dtype=F32), w, 1

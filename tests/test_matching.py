@@ -16,23 +16,9 @@ from cstr import (
     seeded_normal,
     sinkhorn,
 )
+from cstr.selftest import direct_regression, reference_sinkhorn
 
 F32 = np.float32
-
-
-def reference_sinkhorn(cost, iters, eps, dustbin=0.0):
-    """Multiplicative float64 scaling iteration (independent oracle)."""
-    n, m = cost.shape
-    full = np.full((n + 1, m + 1), dustbin, dtype=np.float64)
-    full[:n, :m] = cost.astype(np.float64)
-    kernel = np.exp(-full / eps)
-    a = np.concatenate([np.ones(n), [float(m)]])
-    b = np.concatenate([np.ones(m), [float(n)]])
-    u, v = np.ones(n + 1), np.ones(m + 1)
-    for _ in range(iters):
-        v = b / (kernel.T @ u)
-        u = a / (kernel @ v)
-    return u[:, None] * kernel * v[None, :]
 
 
 # --- epipolar mask ---
@@ -213,17 +199,8 @@ def test_regression_matches_direct_window_arithmetic():
         rows = rng.generator.random((n, m), dtype=F32)
         disp, occ = regress_raw(one_line_volume(rows))
         for i in range(n):
-            row = rows[i]
-            anchor = int(np.argmax(row))
-            lo, hi = max(0, anchor - 1), min(m - 1, anchor + 1)
-            mass = F32(0)
-            for j in range(lo, hi + 1):
-                mass = mass + row[j]
-            want_d = F32(0)
-            for j in range(lo, hi + 1):
-                want_d = want_d + F32(abs(i - j)) * (row[j] / mass)
-            want_o = min(max(1.0 - float(mass), 0.0), 1.0)
-            worst = max(worst, abs(float(disp.values[0, i]) - float(want_d)))
+            want_d, want_o = direct_regression(rows[i], i)
+            worst = max(worst, abs(float(disp.values[0, i]) - want_d))
             worst = max(worst, abs(float(occ.probs[0, i]) - want_o))
     assert worst < 1e-7
 
