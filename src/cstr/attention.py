@@ -332,6 +332,6 @@ def cross_scores(
 
 def pixel_norm(f: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Normalize every pixel's channel vector to zero mean / unit variance."""
-    mean = f.mean(axis=0, keepdims=True)
-    var = f.var(axis=0, keepdims=True)
-    return (f - mean) / np.sqrt(var + np.float32(eps))
+    d = f - f.mean(axis=0, keepdims=True)
+    var = np.mean(d * d, axis=0, keepdims=True)
+    return d / np.sqrt(var + np.float32(eps))

@@ -19,6 +19,8 @@ Malformed input of any kind surfaces as FormatError (files) or ConfigError
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -289,54 +291,62 @@ def write_weights(path, store: WeightStore) -> None:
 
 
 def read_weights(path) -> WeightStore:
-    """Parse a CSTRW001 container; every structural defect is a FormatError."""
+    """Parse a CSTRW001 container; every structural defect is a FormatError.
+
+    Every payload is read straight from the file into consecutive slices of
+    one float32 buffer sized from the file, so the weights are held once;
+    each tensor is a read-only view of that buffer.
+    """
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:8] != WEIGHT_MAGIC:
-        raise FormatError(f"{path}: bad weight magic {data[:8]!r}")
-    if len(data) < 12:
-        raise FormatError(f"{path}: truncated container header")
-    (count,) = struct.unpack_from("<I", data, 8)
-    pos = 12
-    store = WeightStore()
-    for idx in range(count):
-        try:
-            (name_len,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            name_bytes = data[pos : pos + name_len]
-            if len(name_bytes) != name_len:
-                raise struct.error("name overruns file")
-            pos += name_len
-            (rank,) = struct.unpack_from("<B", data, pos)
-            pos += 1
-            extents = struct.unpack_from(f"<{rank}I", data, pos)
-            pos += 4 * rank
-        except struct.error as exc:
-            raise FormatError(f"{path}: tensor {idx} header: {exc}") from None
-        try:
-            name = name_bytes.decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: tensor {idx} name is not UTF-8") from None
-        if not name:
-            raise FormatError(f"{path}: tensor {idx} has an empty name")
-        if name in store:
-            raise FormatError(f"{path}: duplicate tensor name {name!r}")
-        if any(e == 0 for e in extents):
-            raise FormatError(f"{path}: tensor {name!r} has a zero extent")
-        size = 4 * int(np.prod(extents, dtype=np.int64)) if rank else 4
-        if pos + size > len(data):
-            raise FormatError(
-                f"{path}: tensor {name!r} payload overruns file "
-                f"(need {size} bytes at offset {pos})"
-            )
-        values = np.frombuffer(data[pos : pos + size], dtype="<f4")
-        pos += size
-        try:
-            store[name] = values.reshape(extents) if rank else values.reshape(())
-        except ValueError as exc:
-            raise FormatError(f"{path}: tensor {name!r}: {exc}") from None
-    if pos != len(data):
-        raise FormatError(f"{path}: {len(data) - pos} trailing bytes after payload")
+        total = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if head[:8] != WEIGHT_MAGIC:
+            raise FormatError(f"{path}: bad weight magic {head[:8]!r}")
+        if len(head) < 12:
+            raise FormatError(f"{path}: truncated container header")
+        (count,) = struct.unpack_from("<I", head, 8)
+        buf = np.empty((total - 12) // 4, dtype="<f4")
+        used = 0
+        pos = 12
+        store = WeightStore()
+        for idx in range(count):
+            try:
+                (name_len,) = struct.unpack("<H", f.read(2))
+                name_bytes = f.read(name_len)
+                if len(name_bytes) != name_len:
+                    raise struct.error("name overruns file")
+                (rank,) = struct.unpack("<B", f.read(1))
+                extents = struct.unpack(f"<{rank}I", f.read(4 * rank))
+            except struct.error as exc:
+                raise FormatError(f"{path}: tensor {idx} header: {exc}") from None
+            pos += 3 + name_len + 4 * rank
+            try:
+                name = name_bytes.decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: tensor {idx} name is not UTF-8") from None
+            if not name:
+                raise FormatError(f"{path}: tensor {idx} has an empty name")
+            if name in store:
+                raise FormatError(f"{path}: duplicate tensor name {name!r}")
+            if any(e == 0 for e in extents):
+                raise FormatError(f"{path}: tensor {name!r} has a zero extent")
+            n = math.prod(extents)
+            values = buf[used : used + n]
+            if pos + 4 * n > total or f.readinto(values.view(np.uint8)) != 4 * n:
+                raise FormatError(
+                    f"{path}: tensor {name!r} payload overruns file "
+                    f"(need {4 * n} bytes at offset {pos})"
+                )
+            values = values.reshape(extents)
+            values.flags.writeable = False
+            try:
+                store[name] = values
+            except ValueError as exc:
+                raise FormatError(f"{path}: tensor {name!r}: {exc}") from None
+            used += n
+            pos += 4 * n
+    if pos != total:
+        raise FormatError(f"{path}: {total - pos} trailing bytes after payload")
     return store
 
 

@@ -3,7 +3,13 @@
 Fixed conventions, chosen once so that outputs are reproducible bit for bit:
 
 * tensors are C-contiguous float32 numpy arrays (row-major),
-* "convolution" means cross-correlation with zero-padded same-size output,
+* "convolution" means cross-correlation with zero padding; stride s keeps
+  only every s-th output row and column of the same-size output, and
+  conv2d evaluates just those,
+* conv2d builds its im2col columns in bands of whole output rows, each
+  padded to whole pixel blocks, so BLAS sums every output with its main
+  kernel over the same taps in the same order: the band height and the
+  stride do not change the bytes,
 * resampling is bilinear with the half-pixel (align-corners-false) mapping,
 * reductions keep numpy's fixed evaluation order, so identical inputs give
   identical bits on a given platform regardless of caller threading.
@@ -82,15 +88,37 @@ def softmax_axis(t: np.ndarray, axis: int) -> np.ndarray:
     if not -rank <= axis < rank:
         raise ValueError(f"axis {axis} out of range for rank {rank}")
     shifted = t - np.max(t, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= np.sum(shifted, axis=axis, keepdims=True)
+    return shifted
 
 
-def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-size 2-D cross-correlation over a (channels, h, w) tensor.
+# Byte budget of one band of conv2d's im2col columns.
+_IM2COL_BYTES = 4 << 20
+# conv2d hands BLAS whole blocks of this many pixels: edge blocks and tiny
+# products take other kernels, whose rounding differs from the main one.
+_PIXEL_BLOCK = 64
+
+
+def conv2d(
+    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: int = 1
+) -> np.ndarray:
+    """Zero-padded 2-D cross-correlation over a (channels, h, w) tensor.
 
     Kernel layout is (out_channels, in_channels, kh, kw) with odd kh/kw; the
-    input is zero-padded so the output keeps the spatial extents.
+    input is zero-padded by kh//2 and kw//2, and only output rows and columns
+    0, stride, 2*stride, ... are evaluated, so the result has the same bytes
+    as the same-size convolution sliced with ``[:, ::stride, ::stride]``.
+
+    The im2col columns are built in bands of whole output rows, at most
+    ``_IM2COL_BYTES`` per band, and each band's pixel count is padded to whole
+    ``_PIXEL_BLOCK`` blocks. Every output element is then one dot product over
+    the same (in_channel, ky, kx) taps, summed by the same kernel in the same
+    order, so neither the band height nor the stride changes its bytes. One
+    known exception: OpenBLAS hands products below about 1e6 multiply-adds
+    to a small-matrix kernel that sums more than a few hundred taps in
+    another order, so with few output channels over many taps (2 outputs
+    from 2304 taps, say) the last bits can depend on the band size.
     """
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError("conv2d expects (c,h,w) input and (o,c,kh,kw) kernel")
@@ -102,20 +130,47 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
         raise ValueError(f"channel mismatch: input {c_in}, kernel {kc}")
     if bias.shape != (c_out,):
         raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
 
     ph, pw = kh // 2, kw // 2
     padded = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=np.float32)
     padded[:, ph : ph + h, pw : pw + w] = x
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, h * w)
-    taps = kernel.reshape(c_out, c_in * kh * kw)
-    if c_out == 1:
-        # BLAS serves a one-row product with a threaded gemv whose rounding
-        # depends on the thread count; einsum's own loop keeps bytes fixed.
-        flat = np.einsum("ok,kn->on", taps, cols)
-    else:
-        flat = taps @ np.ascontiguousarray(cols)
-    return flat.reshape(c_out, h, w) + bias[:, None, None]
+    windows = windows[:, ::stride, ::stride].transpose(0, 3, 4, 1, 2)
+    out_h, out_w = windows.shape[3:]
+    k = c_in * kh * kw
+    taps = kernel.reshape(c_out, k)
+    out = np.empty((c_out, out_h, out_w), dtype=np.float32)
+    flat = out.reshape(c_out, out_h * out_w)
+
+    band = min(out_h, max(1, _IM2COL_BYTES // (4 * k * out_w)))
+    width = -(-band * out_w // _PIXEL_BLOCK) * _PIXEL_BLOCK
+    cols = np.zeros((k, width), dtype=np.float32)
+    spill = None
+    for y0 in range(0, out_h, band):
+        rows = min(band, out_h - y0)
+        n = rows * out_w
+        m = -(-n // _PIXEL_BLOCK) * _PIXEL_BLOCK
+        shape = (c_in, kh, kw, rows, out_w)
+        cols[:, :n].reshape(shape, copy=False)[...] = windows[:, :, :, y0 : y0 + rows]
+        dest = flat[:, y0 * out_w : y0 * out_w + n]
+        if m > n:
+            if spill is None:
+                spill = np.empty((c_out, width), dtype=np.float32)
+            target = spill[:, :m]
+        else:
+            target = dest
+        if c_out == 1:
+            # BLAS serves a one-row product with a threaded gemv whose rounding
+            # depends on the thread count; einsum's own loop keeps bytes fixed.
+            np.einsum("ok,kn->on", taps, cols[:, :m], out=target)
+        else:
+            np.matmul(taps, cols[:, :m], out=target)
+        if m > n:
+            dest[...] = target[:, :n]
+    out += bias[:, None, None]
+    return out
 
 
 def avgpool_width(t: np.ndarray, factor: int) -> np.ndarray:

@@ -253,7 +253,7 @@ def backbone_forward(
         for s in range(1, denom.bit_length()):
             kernel = model.weights[f"backbone.conv{s}.kernel"]
             bias = model.weights[f"backbone.conv{s}.bias"]
-            feat = relu(conv2d(feat, kernel, bias)[:, ::2, ::2])
+            feat = relu(conv2d(feat, kernel, bias, stride=2))
         return feat
 
     feat_l = run(pair.left)

@@ -197,6 +197,37 @@ def test_weights_rejects_overrun(tmp_path):
         read_weights(path)
 
 
+def test_weights_rejects_extents_whose_size_wraps_int64(tmp_path):
+    # 4 * (3 << 30) * 0xFFFFFFFF wraps negative in int64 arithmetic
+    path = tmp_path / "bad.w"
+    blob = b"CSTRW001" + struct.pack("<I", 1)
+    blob += struct.pack("<H", 1) + b"a" + struct.pack("<B", 2)
+    blob += struct.pack("<2I", 3 << 30, 0xFFFFFFFF) + b"\x00" * 8
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="overruns"):
+        read_weights(path)
+
+
+def test_weights_rejects_non_finite_payload(tmp_path):
+    path = tmp_path / "bad.w"
+    blob = b"CSTRW001" + struct.pack("<I", 1)
+    blob += struct.pack("<H", 1) + b"a" + struct.pack("<B", 1) + struct.pack("<I", 1)
+    path.write_bytes(blob + struct.pack("<f", float("nan")))
+    with pytest.raises(FormatError, match="NaN"):
+        read_weights(path)
+
+
+def test_weights_are_read_only_views_of_one_buffer(tmp_path):
+    from cstr import init_weights
+
+    path = tmp_path / "model.w"
+    write_weights(path, init_weights(RunConfig(layers=2, channels=8, heads=2), span=8))
+    tensors = [t for _, t in read_weights(path).items()]
+    assert not any(t.flags.writeable for t in tensors)
+    base = tensors[0].base
+    assert base is not None and all(t.base is base for t in tensors)
+
+
 def test_weights_rejects_duplicate_names(tmp_path):
     path = tmp_path / "bad.w"
     one = struct.pack("<H", 1) + b"a" + struct.pack("<B", 1) + struct.pack("<I", 1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from cstr import (
     softmax_axis,
     tensor,
 )
+from cstr import ndarray
 
 F32 = np.float32
 
@@ -110,6 +113,63 @@ def test_conv2d_rejects_even_kernel_and_channel_mismatch():
         conv2d(x, np.zeros((1, 2, 2, 3), dtype=F32), np.zeros(1, dtype=F32))
     with pytest.raises(ValueError):
         conv2d(x, np.zeros((1, 3, 3, 3), dtype=F32), np.zeros(1, dtype=F32))
+
+
+def test_conv2d_rejects_stride_below_one():
+    x = np.zeros((1, 4, 4), dtype=F32)
+    with pytest.raises(ValueError, match="stride"):
+        conv2d(x, np.zeros((1, 1, 3, 3), dtype=F32), np.zeros(1, dtype=F32), stride=0)
+
+
+# (c_in, h, w, c_out): odd and even extents, one and many output channels,
+# one input channel, and a 576-tap product like backbone stage 2
+CONV_SHAPES = [
+    (1, 9, 13, 16),
+    (1, 16, 32, 1),
+    (8, 7, 11, 1),
+    (16, 12, 20, 32),
+    (4, 15, 33, 24),
+    (64, 10, 70, 128),
+]
+
+
+def _conv_case(c_in, h, w, c_out, seed=21):
+    x = seeded_normal(Rng(seed), (c_in, h, w), 1.0)
+    kernel = seeded_normal(Rng(seed + 1), (c_out, c_in, 3, 3), 0.5)
+    bias = seeded_normal(Rng(seed + 2), (c_out,), 0.1)
+    return x, kernel, bias
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES)
+@pytest.mark.parametrize("stride", [2, 3])
+def test_conv2d_stride_keeps_the_bytes_of_the_sliced_full_output(shape, stride):
+    x, kernel, bias = _conv_case(*shape)
+    full = conv2d(x, kernel, bias)
+    strided = conv2d(x, kernel, bias, stride=stride)
+    expected = np.ascontiguousarray(full[:, ::stride, ::stride])
+    assert strided.shape == expected.shape
+    assert strided.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES)
+def test_conv2d_one_row_bands_keep_the_bytes(shape, monkeypatch):
+    x, kernel, bias = _conv_case(*shape)
+    default = [conv2d(x, kernel, bias, stride=s).tobytes() for s in (1, 2)]
+    monkeypatch.setattr(ndarray, "_IM2COL_BYTES", 1)
+    assert [conv2d(x, kernel, bias, stride=s).tobytes() for s in (1, 2)] == default
+
+
+def test_conv2d_fusion_sized_peak_memory():
+    # 256 -> 128 channels on a 32x64 grid, the shape of fusion conv1. A
+    # full-image im2col alone is 18.9 MB; banded columns stay near 4 MiB.
+    x, kernel, bias = _conv_case(256, 32, 64, 128)
+    tracemalloc.start()
+    try:
+        conv2d(x, kernel, bias)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20
 
 
 # --- pooling ---

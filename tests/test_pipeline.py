@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,6 +404,25 @@ def test_default_forward_bytes_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.split())
     assert digests[0] == digests[1]
+
+
+def test_default_forward_peak_memory():
+    # default config on a 128x256 pair; conv2d's banded im2col keeps the
+    # traced peak well below the 33 MiB of full-image columns
+    config = RunConfig()
+    model = ModelDescription(config, init_weights(config, seed=0))
+    rng = Rng(0)
+    pair = ImagePair(
+        rng.generator.random((1, 128, 256), dtype=F32),
+        rng.generator.random((1, 128, 256), dtype=F32),
+    )
+    tracemalloc.start()
+    try:
+        forward(pair, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * 2**20
 
 
 # --- lean last layer ---
