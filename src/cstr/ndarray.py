@@ -19,6 +19,8 @@ All functions here are pure: no global state, no in-place mutation of inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -97,7 +99,7 @@ def softmax_axis(t: np.ndarray, axis: int) -> np.ndarray:
 _IM2COL_BYTES = 4 << 20
 # conv2d hands BLAS whole blocks of this many pixels: edge blocks and tiny
 # products take other kernels, whose rounding differs from the main one.
-_PIXEL_BLOCK = 64
+_PIXEL_BLOCK = 16
 
 
 def conv2d(
@@ -112,9 +114,11 @@ def conv2d(
 
     The im2col columns are built in bands of whole output rows, at most
     ``_IM2COL_BYTES`` per band, and each band's pixel count is padded to whole
-    ``_PIXEL_BLOCK`` blocks. Every output element is then one dot product over
-    the same (in_channel, ky, kx) taps, summed by the same kernel in the same
-    order, so neither the band height nor the stride changes its bytes. One
+    ``_PIXEL_BLOCK`` blocks; where the budget allows, bands span whole blocks,
+    so only the last one is padded. Every output element is then one dot
+    product over the same (in_channel, ky, kx) taps, summed by the same
+    kernel in the same order, so neither the band height nor the stride
+    changes its bytes. One
     known exception: OpenBLAS hands products below about 1e6 multiply-adds
     to a small-matrix kernel that sums more than a few hundred taps in
     another order, so with few output channels over many taps (2 outputs
@@ -144,16 +148,22 @@ def conv2d(
     out = np.empty((c_out, out_h, out_w), dtype=np.float32)
     flat = out.reshape(c_out, out_h * out_w)
 
-    band = min(out_h, max(1, _IM2COL_BYTES // (4 * k * out_w)))
+    band = max(1, _IM2COL_BYTES // (4 * k * out_w))
+    step = _PIXEL_BLOCK // math.gcd(out_w, _PIXEL_BLOCK)
+    if step <= band < out_h:
+        # whole pixel blocks per band: only the last band needs the spill
+        band -= band % step
+    band = min(band, out_h)
     width = -(-band * out_w // _PIXEL_BLOCK) * _PIXEL_BLOCK
-    cols = np.zeros((k, width), dtype=np.float32)
+    # whole rows cover the padded width, so the flat view never copies
+    grid = np.zeros((c_in, kh, kw, -(-width // out_w), out_w), dtype=np.float32)
+    cols = grid.reshape(k, -1)
     spill = None
     for y0 in range(0, out_h, band):
         rows = min(band, out_h - y0)
         n = rows * out_w
         m = -(-n // _PIXEL_BLOCK) * _PIXEL_BLOCK
-        shape = (c_in, kh, kw, rows, out_w)
-        cols[:, :n].reshape(shape, copy=False)[...] = windows[:, :, :, y0 : y0 + rows]
+        grid[:, :, :, :rows] = windows[:, :, :, y0 : y0 + rows]
         dest = flat[:, y0 * out_w : y0 * out_w + n]
         if m > n:
             if spill is None:
