@@ -15,13 +15,33 @@ Offsets j-i index a table r of 2*span-1 embeddings, r[span-1] being offset
 0. The position terms are built per head without gathering an (n, m, ch)
 table ("relative attention skewing", Huang et al., Music Transformer, arXiv
 1809.04281; after Shaw et al., arXiv 1803.02155). A line of n queries and m
-keys only needs offsets -(n-1) .. m-1, the window r[span-n : span-1+m], so
-one GEMM of the queries against that window's key projection gives every
-content-position product, (lines, n, n+m-1), and one GEMM of the keys
-against its query projection gives every position-content product,
-(lines, m, n+m-1). The (n, m) logits then lie on diagonals of those results:
-column j-i+n-1 of query row i, or of key row j. A strided view reads them
-with no copy, and each is added in place into one logits buffer.
+keys only needs offsets -(n-1) .. m-1, the window r[span-n : span-1+m].
+Multiplying the queries against that window's key projection u gives every
+content-position product, (lines, n, n+m-1), and the (n, m) logits lie on
+its diagonals: column j-i+n-1 of query row i. The position-content term is
+the same with the keys as the rows (column j-i+n-1 of key row j). A strided
+view reads the diagonals with no copy, and each term is added in place into
+one logits buffer.
+
+A query row reads only m of those n+m-1 columns, so the rows are multiplied
+in blocks of 16: a block of b rows at i0 reads offsets -(i0+b-1) .. m-1-i0,
+m+b-1 columns (n+b-1 for a block of keys). One batched GEMM multiplies every
+full block against a zero-copy view of overlapping windows of u, and a
+ragged last block takes one more. Each block writes its rows at their own
+columns of a product whose row pitch is the window width plus 16, so no
+block overwrites a column another one reads, and the same diagonal view
+reads the result. Per line and term that is n*(m+15) multiply-adds instead
+of n*(n+m-1), and the product buffer shrinks too.
+
+The block size and the operand layout are fixed because the bytes depend on
+them: OpenBLAS picks its kernel from the shapes and layout of the operands.
+16 rows is the width of its main sgemm kernel (the pixel block of conv2d).
+The blocks read a C-contiguous copy of the transposed window product, and a
+line of at most 16 rows keeps the one full-window product. With these
+choices, lines of up to 16 rows and lines whose length is a multiple of 16
+give the bytes of the full-window product; 8-row blocks, or windows read
+through a transposed view, change them. Other lengths may differ from it in
+the last bits.
 
 A line may not exceed the span: for n > span the window would start at a
 negative row, which numpy wraps to the far end of the table, and for m > span
@@ -40,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndarray import softmax_axis
+from .ndarray import _PIXEL_BLOCK, softmax_axis
 
 __all__ = [
     "AttentionWeights",
@@ -108,6 +128,10 @@ class ScoreMatrix:
         if bad.any():
             raise ValueError("scores must be finite or the -inf mask sentinel")
 
+# Rows per position-term product: OpenBLAS's sgemm kernel width, the block
+# conv2d pads to. Other block heights change the bytes.
+_BLOCK = _PIXEL_BLOCK
+
 
 def _check_heads(weights: AttentionWeights, heads: int) -> int:
     c = weights.channels
@@ -141,21 +165,69 @@ def _check_mask(mask: np.ndarray | None, n: int, m: int) -> None:
         raise ValueError("mask forbids every key of some query row")
 
 
-def _diagonals(full: np.ndarray, n: int, m: int, by_key: bool) -> np.ndarray:
+def _strided(buf: np.ndarray, shape: tuple, offset: int, strides: tuple) -> np.ndarray:
+    """View of C-contiguous ``buf``, with offset and strides in elements."""
+    size = buf.itemsize
+    return np.ndarray(
+        shape, buf.dtype, buffer=buf, offset=offset * size, strides=[s * size for s in strides]
+    )
+
+
+def _diagonals(
+    full: np.ndarray, n: int, m: int, by_key: bool, pitch: int
+) -> np.ndarray:
     """Zero-copy (lines, n, m) view of a window product at column j-i+n-1.
 
-    ``full`` is a C-contiguous (lines, rows, n+m-1) product whose rows are the
-    queries i, or the keys j when ``by_key`` is set.
+    ``full`` is C-contiguous with one line per leading index, and row r of a
+    line's product starts at element r*pitch. The rows are the queries i, or the keys j
+    when ``by_key`` is set.
     """
-    lines, _, width = full.shape
     size = full.itemsize
     if by_key:
-        strides = (full.strides[0], -size, (width + 1) * size)
+        strides = (full.strides[0], -size, (pitch + 1) * size)
     else:
-        strides = (full.strides[0], (width - 1) * size, size)
+        strides = (full.strides[0], (pitch - 1) * size, size)
     return np.ndarray(
-        (lines, n, m), full.dtype, buffer=full, offset=(n - 1) * size, strides=strides
+        (len(full), n, m), full.dtype, buffer=full, offset=(n - 1) * size, strides=strides
     )
+
+
+def _add_position_term(
+    logits: np.ndarray, rows: np.ndarray, u: np.ndarray, by_key: bool
+) -> None:
+    """Add ``rows @ u.T``, read on its diagonals, to the (lines, n, m) logits.
+
+    ``rows`` are the (lines, n, ch) queries, or the (lines, m, ch) keys when
+    ``by_key`` is set; ``u`` is the (n+m-1, ch) window product. Lines longer
+    than one block are multiplied in blocks of _BLOCK rows, each against
+    only the columns it reads.
+    """
+    lines, n, m = logits.shape
+    count = rows.shape[1]
+    if count <= _BLOCK:
+        logits += _diagonals(rows @ u.T, n, m, by_key, n + m - 1)
+        return
+    ut = np.ascontiguousarray(u.T)
+    blocks, tail = divmod(count, _BLOCK)
+    done = blocks * _BLOCK
+    width = (n if by_key else m) + _BLOCK - 1
+    # block k reads the window at column k*_BLOCK (keys) or n-(k+1)*_BLOCK
+    # (queries); at this pitch no block overwrites a column another reads
+    first, step = (0, _BLOCK) if by_key else (n - _BLOCK, -_BLOCK)
+    pitch = width + _BLOCK
+    full = np.empty((lines, (count - 1) * pitch + n + m - 1), dtype=np.float32)
+    line = full.shape[1]
+    windows = _strided(ut, (blocks, len(ut), width), first, (step, ut.shape[1], 1))
+    out = _strided(
+        full, (lines, blocks, _BLOCK, width), first, (line, _BLOCK * pitch + step, pitch, 1)
+    )
+    np.matmul(rows[:, :done].reshape(lines, blocks, _BLOCK, -1), windows, out=out)
+    if tail:
+        start = done if by_key else 0
+        cols = width - _BLOCK + tail
+        out = _strided(full, (lines, tail, cols), done * pitch + start, (line, pitch, 1))
+        np.matmul(rows[:, done:], ut[:, start : start + cols], out=out)
+    logits += _diagonals(full, n, m, by_key, pitch)
 
 
 def _head_logits(
@@ -168,10 +240,9 @@ def _head_logits(
 ) -> np.ndarray:
     """Scaled, masked (lines, n, m) logits of one head from its (lines, n|m, ch)
     query/key slices and the offset window ``table``."""
-    n, m = q.shape[1], k.shape[1]
     logits = q @ k.transpose(0, 2, 1)
-    logits += _diagonals(q @ (table @ weights.Wk[hs, hs]).T, n, m, by_key=False)
-    logits += _diagonals(k @ (table @ weights.Wq[hs, hs]).T, n, m, by_key=True)
+    _add_position_term(logits, q, table @ weights.Wk[hs, hs], by_key=False)
+    _add_position_term(logits, k, table @ weights.Wq[hs, hs], by_key=True)
     logits /= np.float32(np.sqrt(q.shape[2]))
     if mask is not None:
         logits += mask

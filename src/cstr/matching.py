@@ -178,7 +178,7 @@ def sinkhorn(
     plan = np.exp(log_kernel + f[:, None] + g[None, :])
     if np.isnan(plan).any():
         raise ValueError("Sinkhorn produced NaN mass")
-    return plan.astype(np.float32)
+    return plan
 
 
 def regress_raw(

@@ -47,6 +47,7 @@ __all__ = [
     "dense_attention_oracle",
     "reference_sinkhorn",
     "direct_regression",
+    "direct_conv2d",
 ]
 
 
@@ -69,7 +70,10 @@ def dense_attention_oracle(
     heads: int,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Loop-based float64 dense attention over one token line."""
+    """Float64 dense attention over one token line, one query row at a time.
+
+    Every logit gathers the embedding of its own offset j-i directly.
+    """
     n, c = x_q.shape
     m = x_kv.shape[0]
     ch = c // heads
@@ -82,25 +86,16 @@ def dense_attention_oracle(
     out = np.zeros((n, c))
     for h in range(heads):
         hs = slice(h * ch, (h + 1) * ch)
-        logits = np.zeros((n, m))
+        q, k, v = xq @ wq[:, hs], xk @ wk[:, hs], xk @ wv[:, hs]
+        # per-offset embeddings through the head's query and key blocks
+        pq, pk = rel @ wq[hs, hs], rel @ wk[hs, hs]
         for i in range(n):
-            qi = xq[i] @ wq[:, hs]
-            for j in range(m):
-                kj = xk[j] @ wk[:, hs]
-                r = rel[j - i + span - 1]
-                pq = r @ wq[hs, hs]
-                pk = r @ wk[hs, hs]
-                logits[i, j] = (qi @ kj + qi @ pk + pq @ kj) / np.sqrt(ch)
-                if mask is not None:
-                    logits[i, j] += mask[i, j]
-        for i in range(n):
-            row = logits[i]
+            r = np.arange(m) - i + span - 1  # offset row of each key j
+            row = (k @ q[i] + pk[r] @ q[i] + (pq[r] * k).sum(axis=1)) / np.sqrt(ch)
+            if mask is not None:
+                row = row + mask[i]
             e = np.exp(row - row.max())
-            attn = e / e.sum()
-            acc = np.zeros(ch)
-            for j in range(m):
-                acc += attn[j] * (xk[j] @ wv[:, hs])
-            out[i, hs] = acc
+            out[i, hs] = (e / e.sum()) @ v
     return out @ wo
 
 
@@ -116,16 +111,68 @@ def check_softmax_normalization() -> tuple[bool, str]:
     return worst < 1e-6, f"max |sum-1| = {worst:.2e}"
 
 
+def direct_conv2d(
+    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: int = 1
+) -> np.ndarray:
+    """Float64 direct sum over the zero-padded window of every kept pixel."""
+    c_in, h, w = x.shape
+    c_out, _, kh, kw = kernel.shape
+    padded = np.zeros((c_in, h + kh - 1, w + kw - 1))
+    padded[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x
+    taps = kernel.astype(np.float64)
+    out = np.empty((c_out, -(-h // stride), -(-w // stride)))
+    for y in range(out.shape[1]):
+        for x0 in range(out.shape[2]):
+            window = padded[:, y * stride : y * stride + kh, x0 * stride : x0 * stride + kw]
+            out[:, y, x0] = np.tensordot(taps, window, axes=3) + bias
+    return out
+
+
+def check_conv2d_direct_oracle() -> tuple[bool, str]:
+    rng = Rng(25)
+    # (c_in, h, w), (c_out, kh, kw), stride; the last shape's im2col is over
+    # the band budget, so it runs in several bands and its last band spills
+    cases = [
+        ((3, 9, 11), (1, 3, 3), 1),
+        ((3, 9, 11), (4, 3, 3), 2),
+        ((2, 7, 6), (1, 1, 3), 2),
+        ((5, 8, 13), (6, 5, 5), 1),
+        ((64, 45, 47), (8, 3, 3), 1),
+    ]
+    worst = 0.0
+    for (c_in, h, w), (c_out, kh, kw), stride in cases:
+        x = seeded_normal(rng, (c_in, h, w), 1.0)
+        kernel = seeded_normal(rng, (c_out, c_in, kh, kw), 1.0 / np.sqrt(c_in * kh * kw))
+        bias = seeded_normal(rng, (c_out,), 1.0)
+        got = nd.conv2d(x, kernel, bias, stride=stride)
+        want = direct_conv2d(x, kernel, bias, stride)
+        if got.shape != want.shape:
+            return False, f"shape {got.shape} != {want.shape}"
+        worst = max(worst, float(np.abs(got - want).max()))
+    return worst < 1e-4, f"max |diff| = {worst:.2e} over {len(cases)} shapes"
+
+
+def _multi_block_lines(rng: Rng, along_width: bool) -> tuple[int, int, int]:
+    """Span and (h, w) of two lines that each hold two full 16-row position
+    blocks and a ragged tail."""
+    length = int(rng.generator.integers(33, 48))
+    return 48, *((2, length) if along_width else (length, 2))
+
+
 def _axial_check(direction: str) -> tuple[bool, str]:
     rng = Rng(21 if direction == "width" else 22)
     worst = 0.0
     start = time.perf_counter()
-    for case in range(20):
+    for case in range(22):
         c = int(rng.generator.integers(2, 5)) * 2
         heads = 2 if c % 2 == 0 else 1
-        h = int(rng.generator.integers(1, 17))
-        w = int(rng.generator.integers(1, 17))
-        weights = random_attention_weights(rng, c, heads, span=16)
+        if case < 20:
+            span = 16
+            h = int(rng.generator.integers(1, 17))
+            w = int(rng.generator.integers(1, 17))
+        else:
+            span, h, w = _multi_block_lines(rng, direction == "width")
+        weights = random_attention_weights(rng, c, heads, span)
         f = seeded_normal(rng, (c, h, w), 1.0)
         if direction == "width":
             got = axial_attention_width(f, weights, heads)
@@ -155,11 +202,15 @@ def check_axial_height_dense_oracle() -> tuple[bool, str]:
 def check_cross_attention_dense_oracle() -> tuple[bool, str]:
     rng = Rng(23)
     worst = 0.0
-    for case in range(10):
+    for case in range(12):
         c, heads = 4, 2
-        h = int(rng.generator.integers(1, 5))
-        w = int(rng.generator.integers(2, 9))
-        weights = random_attention_weights(rng, c, heads, span=16)
+        if case < 10:
+            span = 16
+            h = int(rng.generator.integers(1, 5))
+            w = int(rng.generator.integers(2, 9))
+        else:
+            span, h, w = _multi_block_lines(rng, along_width=True)
+        weights = random_attention_weights(rng, c, heads, span)
         left = seeded_normal(rng, (c, h, w), 1.0)
         right = seeded_normal(rng, (c, h, w), 1.0)
         mask = epipolar_mask(w, w) if case % 2 == 0 else None
@@ -530,6 +581,7 @@ def check_forward_determinism() -> tuple[bool, str]:
 
 CHECKS = [
     ("softmax_normalization", check_softmax_normalization),
+    ("conv2d_direct_oracle", check_conv2d_direct_oracle),
     ("axial_width_dense_oracle", check_axial_width_dense_oracle),
     ("axial_height_dense_oracle", check_axial_height_dense_oracle),
     ("cross_attention_dense_oracle", check_cross_attention_dense_oracle),

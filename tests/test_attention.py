@@ -78,11 +78,14 @@ def test_relative_logits_rejects_long_lines():
 def test_relative_logits_with_keys_matches_dense_oracle():
     from cstr import softmax_axis
 
-    # n != m in both directions, up to the whole window (n or m = span)
-    span, c, heads = 6, 8, 2
-    w = random_attention_weights(Rng(21), c, heads, span)
+    # n != m in both directions, up to the whole window (n or m = span); the
+    # span-64 pairs hold several 16-row position blocks and ragged tails
+    c, heads = 8, 2
     ch = c // heads
-    for n, m in ((2, 5), (5, 2), (1, span), (span, 1), (span, span - 1)):
+    pairs = [(6, p) for p in ((2, 5), (5, 2), (1, 6), (6, 1), (6, 5))]
+    pairs += [(64, p) for p in ((40, 17), (17, 40), (1, 64), (64, 1))]
+    for span, (n, m) in pairs:
+        w = random_attention_weights(Rng(21 if span == 6 else 22), c, heads, span)
         rng = Rng(100 + 10 * n + m)
         x = seeded_normal(rng, (n, c), 1.0)
         keys = seeded_normal(rng, (m, c), 1.0)
@@ -207,13 +210,20 @@ def test_head_mismatch_rejected():
 
 
 SPAN = 6
+LONG_SPAN = 64
+# one position block at SPAN; several, some with a ragged tail, at LONG_SPAN
+LENGTHS = [1, SPAN - 1, SPAN, 17, 31, 32, 33, 48, LONG_SPAN]
+
+
+def span_of(length):
+    return SPAN if length <= SPAN else LONG_SPAN
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
-@pytest.mark.parametrize("length", [1, SPAN - 1, SPAN])
+@pytest.mark.parametrize("length", LENGTHS)
 def test_width_matches_dense_oracle_at_window_edges(length, heads):
     c = 8
-    w = random_attention_weights(Rng(30 + heads), c, heads, SPAN)
+    w = random_attention_weights(Rng(30 + heads), c, heads, span_of(length))
     f = seeded_normal(Rng(40 + length), (c, 2, length), 1.0)
     got = axial_attention_width(f, w, heads)
     for y in range(2):
@@ -223,22 +233,23 @@ def test_width_matches_dense_oracle_at_window_edges(length, heads):
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
-@pytest.mark.parametrize("length", [1, SPAN - 1, SPAN])
+@pytest.mark.parametrize("length", LENGTHS)
 def test_cross_matches_dense_oracle_at_window_edges(length, heads):
     c = 8
-    w = random_attention_weights(Rng(50 + heads), c, heads, SPAN)
+    w = random_attention_weights(Rng(50 + heads), c, heads, span_of(length))
     rng = Rng(60 + length)
     left_in = seeded_normal(rng, (c, 2, length), 1.0)
     right_in = seeded_normal(rng, (c, 2, length), 1.0)
-    mask = epipolar_mask(length, length)
-    left, right, _ = cross_attention(left_in, right_in, w, heads, mask)
-    for y in range(2):
-        lq = left_in[:, y, :].T
-        rq = right_in[:, y, :].T
-        want_l = lq + dense_attention_oracle(lq, rq, w, heads, mask)
-        want_r = rq + dense_attention_oracle(rq, lq, w, heads, mask.T)
-        np.testing.assert_allclose(left[:, y, :].T, want_l, atol=1e-5)
-        np.testing.assert_allclose(right[:, y, :].T, want_r, atol=1e-5)
+    for mask in (epipolar_mask(length, length), None):
+        mask_t = None if mask is None else mask.T
+        left, right, _ = cross_attention(left_in, right_in, w, heads, mask)
+        for y in range(2):
+            lq = left_in[:, y, :].T
+            rq = right_in[:, y, :].T
+            want_l = lq + dense_attention_oracle(lq, rq, w, heads, mask)
+            want_r = rq + dense_attention_oracle(rq, lq, w, heads, mask_t)
+            np.testing.assert_allclose(left[:, y, :].T, want_l, atol=1e-5)
+            np.testing.assert_allclose(right[:, y, :].T, want_r, atol=1e-5)
 
 
 def test_lines_longer_than_span_rejected():
@@ -332,10 +343,10 @@ def test_cross_rejects_fully_masked_row():
 
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("heads", [1, 2, 4])
-@pytest.mark.parametrize("length", [1, SPAN])
+@pytest.mark.parametrize("length", [1, SPAN, 48])
 def test_cross_scores_bytes_equal_cross_attention_scores(length, heads, masked):
     c = 8
-    w = random_attention_weights(Rng(80 + heads), c, heads, SPAN)
+    w = random_attention_weights(Rng(80 + heads), c, heads, span_of(length))
     rng = Rng(90 + length)
     left = seeded_normal(rng, (c, 3, length), 1.0)
     right = seeded_normal(rng, (c, 3, length), 1.0)

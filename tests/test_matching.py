@@ -68,6 +68,13 @@ def test_sinkhorn_single_cell_concentrates():
     np.testing.assert_allclose(plan, want, atol=1e-5)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32])
+def test_sinkhorn_plan_is_float32_for_any_cost_dtype(dtype):
+    cost = (Rng(4).generator.random((3, 5)) * 4).astype(dtype)
+    plan = sinkhorn(cost, iters=3, epsilon=np.float64(0.1), dustbin_cost=1)
+    assert plan.dtype == np.float32
+
+
 def test_sinkhorn_symmetric_cost_symmetric_plan():
     # every cell (including the dustbins) carries the same cost, so the
     # problem is symmetric under transposition and the plan must be too

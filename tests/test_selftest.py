@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from cstr import matching, ndarray, selftest
+from cstr import attention, matching, ndarray, selftest
 
 
 def patch_everywhere(monkeypatch, original, replacement):
@@ -51,10 +51,37 @@ def narrow_regression_window(monkeypatch):
     return ["disparity_regression_oracle"]
 
 
+def scale_conv2d(monkeypatch):
+    conv2d = ndarray.conv2d
+    patch_everywhere(
+        monkeypatch, conv2d, lambda *args, **kwargs: conv2d(*args, **kwargs) * np.float32(1.01)
+    )
+    return ["conv2d_direct_oracle"]
+
+
+def skip_position_tail(monkeypatch):
+    # lines longer than one block lose the position term of their ragged tail
+    add = attention._add_position_term
+    block = attention._BLOCK
+
+    def no_tail(logits, rows, u, by_key):
+        count = rows.shape[1]
+        tail = slice(count - count % block, count) if count > block else slice(0)
+        kept = logits[:, :, tail] if by_key else logits[:, tail]
+        before = kept.copy()
+        add(logits, rows, u, by_key)
+        kept[...] = before
+
+    monkeypatch.setattr(attention, "_add_position_term", no_tail)
+    return ["axial_width_dense_oracle", "axial_height_dense_oracle",
+            "cross_attention_dense_oracle"]
+
+
 # each mutation patches the package and returns the checks it must fail
 @pytest.mark.parametrize(
     "mutate",
-    [break_softmax, flip_mask, drop_sinkhorn_sweep, narrow_regression_window],
+    [break_softmax, flip_mask, drop_sinkhorn_sweep, narrow_regression_window,
+     scale_conv2d, skip_position_tail],
     ids=lambda mutate: mutate.__name__,
 )
 def test_mutation_fails_named_checks(monkeypatch, mutate):
