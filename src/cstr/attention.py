@@ -128,8 +128,9 @@ class ScoreMatrix:
         if bad.any():
             raise ValueError("scores must be finite or the -inf mask sentinel")
 
+
 # Rows per position-term product: OpenBLAS's sgemm kernel width, the block
-# conv2d pads to. Other block heights change the bytes.
+# conv2d pads to. 8-row blocks change the bytes; 32-row ones read more columns.
 _BLOCK = _PIXEL_BLOCK
 
 
@@ -179,8 +180,8 @@ def _diagonals(
     """Zero-copy (lines, n, m) view of a window product at column j-i+n-1.
 
     ``full`` is C-contiguous with one line per leading index, and row r of a
-    line's product starts at element r*pitch. The rows are the queries i, or the keys j
-    when ``by_key`` is set.
+    line's product starts at element r*pitch. The rows are the queries i, or
+    the keys j when ``by_key`` is set.
     """
     size = full.itemsize
     if by_key:
