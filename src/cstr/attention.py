@@ -404,6 +404,10 @@ def cross_scores(
 
 def pixel_norm(f: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Normalize every pixel's channel vector to zero mean / unit variance."""
-    d = f - f.mean(axis=0, keepdims=True)
-    var = np.mean(d * d, axis=0, keepdims=True)
-    return d / np.sqrt(var + np.float32(eps))
+    # the ufunc reductions and division are exactly what ``mean`` computes
+    c = np.float32(f.shape[0])
+    d = f - np.add.reduce(f, axis=0, keepdims=True) / c
+    var = np.add.reduce(d * d, axis=0, keepdims=True) / c
+    var += np.float32(eps)
+    d /= np.sqrt(var, out=var)
+    return d

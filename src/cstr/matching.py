@@ -129,13 +129,6 @@ def epipolar_mask(w_left: int, w_right: int, flip: bool = False) -> np.ndarray:
     return mask.astype(np.float32)
 
 
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    mx = np.max(x, axis=axis, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, np.float32(0))
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(x - mx), axis=axis)) + np.squeeze(mx, axis=axis)
-
-
 def sinkhorn(
     cost: np.ndarray,
     iters: int,
@@ -148,6 +141,10 @@ def sinkhorn(
     (n+1, m+1) transport plan. Real rows/columns target unit mass; the
     dustbin row targets m and the dustbin column n, which keeps the problem
     feasible for every mask.
+
+    Each half-sweep is a log-sum-exp over one axis of ``log_kernel`` plus the
+    other side's potential, evaluated in one preallocated buffer; a line whose
+    maximum is not finite is shifted by 0 instead.
     """
     if cost.ndim != 2:
         raise ValueError(f"cost must be rank 2, got {cost.shape}")
@@ -158,24 +155,43 @@ def sinkhorn(
     if np.isnan(cost).any() or np.isneginf(cost).any():
         raise ValueError("costs must be finite or +inf")
     n, m = cost.shape
-    full = np.full((n + 1, m + 1), np.float32(dustbin_cost), dtype=np.float32)
-    full[:n, :m] = cost
+    log_kernel = np.full((n + 1, m + 1), np.float32(dustbin_cost), dtype=np.float32)
+    log_kernel[:n, :m] = cost
+    # a +inf cost negates to the -inf log weight of a forbidden cell
+    np.negative(log_kernel, out=log_kernel)
+    log_kernel /= np.float32(epsilon)
+    buf = np.empty_like(log_kernel)
+    f = np.zeros(n + 1, dtype=np.float32)
+    g = np.zeros(m + 1, dtype=np.float32)
     with np.errstate(divide="ignore"):
-        log_kernel = np.where(np.isposinf(full), np.float32(-np.inf), -full) / np.float32(
-            epsilon
-        )
         log_row_mass = np.log(
             np.concatenate([np.ones(n, dtype=np.float32), [np.float32(m)]])
         )
         log_col_mass = np.log(
             np.concatenate([np.ones(m, dtype=np.float32), [np.float32(n)]])
         )
-    f = np.zeros(n + 1, dtype=np.float32)
-    g = np.zeros(m + 1, dtype=np.float32)
-    for _ in range(iters):
-        g = log_col_mass - _logsumexp(log_kernel + f[:, None], axis=0)
-        f = log_row_mass - _logsumexp(log_kernel + g[None, :], axis=1)
-    plan = np.exp(log_kernel + f[:, None] + g[None, :])
+        for _ in range(iters):
+            np.add(log_kernel, f[:, None], out=buf)
+            mx = np.maximum.reduce(buf, axis=0)
+            mx[~np.isfinite(mx)] = 0
+            np.subtract(buf, mx, out=buf)
+            np.exp(buf, out=buf)
+            np.add.reduce(buf, axis=0, out=g)
+            np.log(g, out=g)
+            g += mx
+            np.subtract(log_col_mass, g, out=g)
+            np.add(log_kernel, g, out=buf)
+            mx = np.maximum.reduce(buf, axis=1)
+            mx[~np.isfinite(mx)] = 0
+            np.subtract(buf, mx[:, None], out=buf)
+            np.exp(buf, out=buf)
+            np.add.reduce(buf, axis=1, out=f)
+            np.log(f, out=f)
+            f += mx
+            np.subtract(log_row_mass, f, out=f)
+    np.add(log_kernel, f[:, None], out=buf)
+    buf += g
+    plan = np.exp(buf, out=buf)
     if np.isnan(plan).any():
         raise ValueError("Sinkhorn produced NaN mass")
     return plan
@@ -184,7 +200,7 @@ def sinkhorn(
 def regress_raw(
     plans: AssignmentVolume, scale: float = 1.0
 ) -> tuple[DisparityMap, OcclusionMap]:
-    """Regress disparity and occlusion from transport plans, line by line.
+    """Regress disparity and occlusion from transport plans, all lines at once.
 
     For each left pixel the highest-scoring real candidate anchors a 3-wide
     window (clipped at the borders); window scores are renormalized to give
@@ -192,25 +208,20 @@ def regress_raw(
     window mass.
     """
     vol = plans.plans
-    lines, n, m = vol.shape[0], plans.left_width, plans.right_width
+    n, m = plans.left_width, plans.right_width
     real = vol[:, :n, :m]
     if (real.sum(axis=2) == 0).any():
         raise ValueError("a left pixel has no unmasked right candidate")
-    disparity = np.empty((lines, n), dtype=np.float32)
-    occlusion = np.empty((lines, n), dtype=np.float32)
-    left_index = np.arange(n)[:, None]
-    for y in range(lines):
-        t = real[y]
-        anchor = np.argmax(t, axis=1)
-        window = anchor[:, None] + _WINDOW_OFFSETS[None, :]
-        valid = (window >= 0) & (window < m)
-        clipped = np.clip(window, 0, m - 1)
-        scores = np.take_along_axis(t, clipped, axis=1) * valid
-        mass = scores.sum(axis=1)
-        weights = scores / mass[:, None]
-        candidates = np.abs(left_index - clipped).astype(np.float32)
-        disparity[y] = (candidates * weights).sum(axis=1)
-        occlusion[y] = np.clip(np.float32(1) - mass, np.float32(0), np.float32(1))
+    anchor = np.argmax(real, axis=2)
+    window = anchor[:, :, None] + _WINDOW_OFFSETS
+    valid = (window >= 0) & (window < m)
+    clipped = np.clip(window, 0, m - 1)
+    scores = np.take_along_axis(real, clipped, axis=2) * valid
+    mass = scores.sum(axis=2)
+    weights = scores / mass[:, :, None]
+    candidates = np.abs(np.arange(n)[:, None] - clipped).astype(np.float32)
+    disparity = (candidates * weights).sum(axis=2)
+    occlusion = np.clip(np.float32(1) - mass, np.float32(0), np.float32(1))
     return DisparityMap(disparity, scale=scale), OcclusionMap(occlusion)
 
 

@@ -89,9 +89,9 @@ def softmax_axis(t: np.ndarray, axis: int) -> np.ndarray:
     rank = t.ndim
     if not -rank <= axis < rank:
         raise ValueError(f"axis {axis} out of range for rank {rank}")
-    shifted = t - np.max(t, axis=axis, keepdims=True)
+    shifted = t - np.maximum.reduce(t, axis=axis, keepdims=True)
     np.exp(shifted, out=shifted)
-    shifted /= np.sum(shifted, axis=axis, keepdims=True)
+    shifted /= np.add.reduce(shifted, axis=axis, keepdims=True)
     return shifted
 
 
@@ -140,9 +140,15 @@ def conv2d(
     ph, pw = kh // 2, kw // 2
     padded = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=np.float32)
     padded[:, ph : ph + h, pw : pw + w] = x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride].transpose(0, 3, 4, 1, 2)
-    out_h, out_w = windows.shape[3:]
+    out_h, out_w = -(-h // stride), -(-w // stride)
+    # windows[c, ky, kx, y, x] = padded[c, y * stride + ky, x * stride + kx]
+    s_c, s_y, s_x = padded.strides
+    windows = np.ndarray(
+        (c_in, kh, kw, out_h, out_w),
+        dtype=np.float32,
+        buffer=padded,
+        strides=(s_c, s_y, s_x, stride * s_y, stride * s_x),
+    )
     k = c_in * kh * kw
     taps = kernel.reshape(c_out, k)
     out = np.empty((c_out, out_h, out_w), dtype=np.float32)
@@ -193,10 +199,11 @@ def avgpool_width(t: np.ndarray, factor: int) -> np.ndarray:
     if t.ndim != 3:
         raise ValueError("avgpool_width expects a (c, h, w) tensor")
     c, h, w = t.shape
-    out_w = -(-w // factor)
-    out = np.empty((c, h, out_w), dtype=np.float32)
-    for j in range(out_w):
-        out[:, :, j] = t[:, :, j * factor : min(w, (j + 1) * factor)].mean(axis=2)
+    full, rest = divmod(w, factor)
+    out = np.empty((c, h, full + (rest > 0)), dtype=np.float32)
+    out[:, :, :full] = t[:, :, : full * factor].reshape(c, h, full, factor).mean(axis=3)
+    if rest:
+        out[:, :, full] = t[:, :, full * factor :].mean(axis=2)
     return out
 
 

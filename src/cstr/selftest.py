@@ -18,7 +18,8 @@ import numpy as np
 
 from . import ndarray as nd
 from .attention import AttentionWeights, cross_attention
-from .attention import axial_attention_height, axial_attention_width, relative_logits
+from .attention import axial_attention_height, axial_attention_width, pixel_norm
+from .attention import relative_logits
 from .context import CepLayerWeights, cep_step, make_context_features
 from .formats import (
     FormatError,
@@ -48,6 +49,9 @@ __all__ = [
     "reference_sinkhorn",
     "direct_regression",
     "direct_conv2d",
+    "direct_pixel_norm",
+    "separable_upsample",
+    "direct_avgpool_width",
 ]
 
 
@@ -152,6 +156,98 @@ def check_conv2d_direct_oracle() -> tuple[bool, str]:
     return worst < 1e-4, f"max |diff| = {worst:.2e} over {len(cases)} shapes"
 
 
+def direct_pixel_norm(f: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Float64 zero-mean, unit-variance channel vector of every pixel."""
+    x = f.astype(np.float64)
+    d = x - x.mean(axis=0)
+    return d / np.sqrt((d * d).mean(axis=0) + eps)
+
+
+def check_pixel_norm_oracle() -> tuple[bool, str]:
+    rng = Rng(26)
+    worst = 0.0
+    for case in range(20):
+        c = int(rng.generator.integers(1, 17))
+        h = int(rng.generator.integers(1, 9))
+        w = int(rng.generator.integers(1, 9))
+        scale = float(10.0 ** rng.generator.integers(-1, 2))
+        f = seeded_normal(rng, (c, h, w), scale) + np.float32(case % 5 - 2)
+        worst = max(worst, float(np.abs(pixel_norm(f) - direct_pixel_norm(f)).max()))
+    return worst < 1e-4, f"max |diff| = {worst:.2e}"
+
+
+def separable_upsample(t: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Float64 half-pixel bilinear upsample: ``linear_interp_1d`` down every
+    column, then along every row."""
+    c, h, w = t.shape
+
+    def source(i: int, n_in: int, n_out: int) -> float:
+        return min(max((i + 0.5) * n_in / n_out - 0.5, 0.0), n_in - 1.0)
+
+    x = t.astype(np.float64)
+    rows = np.empty((c, out_h, w))
+    for y in range(out_h):
+        sy = source(y, h, out_h)
+        for ch in range(c):
+            for j in range(w):
+                rows[ch, y, j] = nd.linear_interp_1d(x[ch, :, j], sy)
+    out = np.empty((c, out_h, out_w))
+    for j in range(out_w):
+        sx = source(j, w, out_w)
+        for ch in range(c):
+            for y in range(out_h):
+                out[ch, y, j] = nd.linear_interp_1d(rows[ch, y], sx)
+    return out
+
+
+def check_bilinear_upsample_oracle() -> tuple[bool, str]:
+    rng = Rng(27)
+    worst = 0.0
+    for _ in range(12):
+        c = int(rng.generator.integers(1, 4))
+        h = int(rng.generator.integers(1, 7))
+        w = int(rng.generator.integers(1, 7))
+        # integer factors as the pipeline uses, and ratios that are not
+        out_h = h * int(rng.generator.integers(1, 5)) + int(rng.generator.integers(0, 3))
+        out_w = w * int(rng.generator.integers(1, 5)) + int(rng.generator.integers(0, 3))
+        t = seeded_normal(rng, (c, h, w), 1.0)
+        got = nd.bilinear_upsample(t, out_h, out_w)
+        worst = max(worst, float(np.abs(got - separable_upsample(t, out_h, out_w)).max()))
+    return worst < 1e-5, f"max |diff| = {worst:.2e}"
+
+
+def direct_avgpool_width(t: np.ndarray, factor: int) -> np.ndarray:
+    """Float64 mean of each width window; the last one holds only the
+    columns that exist."""
+    c, h, w = t.shape
+    out = np.empty((c, h, -(-w // factor)))
+    for j in range(out.shape[2]):
+        cols = range(j * factor, min(w, (j + 1) * factor))
+        out[:, :, j] = sum(t[:, :, x].astype(np.float64) for x in cols) / len(cols)
+    return out
+
+
+def check_avgpool_width_oracle() -> tuple[bool, str]:
+    rng = Rng(28)
+    worst = 0.0
+    truncated = 0
+    for _ in range(20):
+        c = int(rng.generator.integers(1, 5))
+        h = int(rng.generator.integers(1, 5))
+        w = int(rng.generator.integers(1, 20))
+        factor = int(rng.generator.integers(1, 9))
+        truncated += w % factor != 0
+        t = seeded_normal(rng, (c, h, w), 1.0)
+        got = nd.avgpool_width(t, factor)
+        want = direct_avgpool_width(t, factor)
+        if got.shape != want.shape:
+            return False, f"shape {got.shape} != {want.shape}"
+        worst = max(worst, float(np.abs(got - want).max()))
+    return worst < 1e-5 and truncated > 0, (
+        f"max |diff| = {worst:.2e}, {truncated}/20 truncated last windows"
+    )
+
+
 def _multi_block_lines(rng: Rng, along_width: bool) -> tuple[int, int, int]:
     """Span and (h, w) of two lines that each hold two full 16-row position
     blocks and a ragged tail."""
@@ -162,10 +258,12 @@ def _multi_block_lines(rng: Rng, along_width: bool) -> tuple[int, int, int]:
 def _axial_check(direction: str) -> tuple[bool, str]:
     rng = Rng(21 if direction == "width" else 22)
     worst = 0.0
+    head_counts = set()
     start = time.perf_counter()
     for case in range(22):
-        c = int(rng.generator.integers(2, 5)) * 2
-        heads = 2 if c % 2 == 0 else 1
+        heads = int(rng.generator.choice([1, 2, 4]))
+        c = int(rng.generator.choice([k for k in (4, 6, 8) if k % heads == 0]))
+        head_counts.add(heads)
         if case < 20:
             span = 16
             h = int(rng.generator.integers(1, 17))
@@ -188,7 +286,8 @@ def _axial_check(direction: str) -> tuple[bool, str]:
                 diff = np.abs(got[:, :, idx].T - want).max()
             worst = max(worst, float(diff))
     elapsed = time.perf_counter() - start
-    return worst < 1e-5 and elapsed < 10.0, f"max |diff| = {worst:.2e}, {elapsed:.2f}s"
+    ok = worst < 1e-5 and elapsed < 10.0 and head_counts == {1, 2, 4}
+    return ok, f"max |diff| = {worst:.2e}, heads {sorted(head_counts)}, {elapsed:.2f}s"
 
 
 def check_axial_width_dense_oracle() -> tuple[bool, str]:
@@ -329,14 +428,16 @@ def check_disparity_regression_oracle() -> tuple[bool, str]:
     rng = Rng(41)
     worst = 0.0
     for _ in range(100):
+        lines = int(rng.generator.integers(1, 5))
         n = int(rng.generator.integers(2, 13))
         m = int(rng.generator.integers(2, 13))
-        plan = rng.generator.random((1, n + 1, m + 1), dtype=np.float32)
+        plan = rng.generator.random((lines, n + 1, m + 1), dtype=np.float32)
         disp, occ = regress_raw(AssignmentVolume(plan))
-        for i in range(n):
-            want_d, want_o = direct_regression(plan[0, i, :m], i)
-            worst = max(worst, abs(float(disp.values[0, i]) - want_d))
-            worst = max(worst, abs(float(occ.probs[0, i]) - want_o))
+        for y in range(lines):
+            for i in range(n):
+                want_d, want_o = direct_regression(plan[y, i, :m], i)
+                worst = max(worst, abs(float(disp.values[y, i]) - want_d))
+                worst = max(worst, abs(float(occ.probs[y, i]) - want_o))
     # frozen worked example: window scores summing to 1 over candidate
     # disparities 4/5/6 with weights 0.2/0.5/0.3 regress to 5.1, occlusion 0
     plan = np.zeros((1, 9, 9), dtype=np.float32)  # 8 real pixels a side
@@ -582,6 +683,9 @@ def check_forward_determinism() -> tuple[bool, str]:
 CHECKS = [
     ("softmax_normalization", check_softmax_normalization),
     ("conv2d_direct_oracle", check_conv2d_direct_oracle),
+    ("pixel_norm_oracle", check_pixel_norm_oracle),
+    ("bilinear_upsample_oracle", check_bilinear_upsample_oracle),
+    ("avgpool_width_oracle", check_avgpool_width_oracle),
     ("axial_width_dense_oracle", check_axial_width_dense_oracle),
     ("axial_height_dense_oracle", check_axial_height_dense_oracle),
     ("cross_attention_dense_oracle", check_cross_attention_dense_oracle),

@@ -212,6 +212,18 @@ def test_regression_matches_direct_window_arithmetic():
     assert worst < 1e-7
 
 
+def test_regression_of_many_lines_equals_each_line_alone():
+    rng = Rng(12)
+    for lines, n, m in [(2, 3, 5), (4, 8, 8), (7, 12, 9), (16, 32, 32)]:
+        plan = rng.generator.random((lines, n + 1, m + 1), dtype=F32)
+        disp, occ = regress_raw(AssignmentVolume(plan), scale=0.25)
+        assert disp.scale == 0.25
+        for y in range(lines):
+            d_one, o_one = regress_raw(AssignmentVolume(plan[y : y + 1]))
+            assert disp.values[y].tobytes() == d_one.values[0].tobytes()
+            assert occ.probs[y].tobytes() == o_one.probs[0].tobytes()
+
+
 def test_regression_unimodal_rows_stay_near_argmax():
     rng = Rng(10)
     for _ in range(30):

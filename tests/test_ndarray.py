@@ -190,6 +190,17 @@ def test_avgpool_truncated_right_edge():
     np.testing.assert_array_equal(avgpool_width(x, 2)[0, 0], [1.5, 3.5, 5.0])
 
 
+def test_avgpool_equals_window_by_window_means():
+    # the reshaped pooling sums each window in the same order as one slice
+    rng = Rng(6)
+    for _ in range(40):
+        c, h, w = (int(e) for e in rng.generator.integers(1, 24, size=3))
+        factor = int(rng.generator.integers(1, 20))
+        x = seeded_normal(rng, (c, h, w), 10.0)
+        windows = [x[:, :, j : j + factor].mean(axis=2) for j in range(0, w, factor)]
+        assert avgpool_width(x, factor).tobytes() == np.stack(windows, axis=2).tobytes()
+
+
 def test_avgpool_constant_stays_constant():
     x = np.full((1, 2, 7), 3.25, dtype=F32)
     for factor in (1, 2, 3, 7, 10):

@@ -51,12 +51,41 @@ def narrow_regression_window(monkeypatch):
     return ["disparity_regression_oracle"]
 
 
+def regress_from_line_zero(monkeypatch):
+    regress_raw = matching.regress_raw
+
+    def line_zero(plans, scale=1.0):
+        copies = np.repeat(plans.plans[:1], plans.lines, axis=0)
+        return regress_raw(matching.AssignmentVolume(copies), scale)
+
+    patch_everywhere(monkeypatch, regress_raw, line_zero)
+    return ["disparity_regression_oracle"]
+
+
 def scale_conv2d(monkeypatch):
     conv2d = ndarray.conv2d
     patch_everywhere(
         monkeypatch, conv2d, lambda *args, **kwargs: conv2d(*args, **kwargs) * np.float32(1.01)
     )
     return ["conv2d_direct_oracle"]
+
+
+def scale_pixel_norm(monkeypatch):
+    pixel_norm = attention.pixel_norm
+    patch_everywhere(monkeypatch, pixel_norm, lambda *args: pixel_norm(*args) * np.float32(1.1))
+    return ["pixel_norm_oracle"]
+
+
+def shift_bilinear_upsample(monkeypatch):
+    upsample = ndarray.bilinear_upsample
+    patch_everywhere(monkeypatch, upsample, lambda *args: upsample(*args) + np.float32(1e-2))
+    return ["bilinear_upsample_oracle"]
+
+
+def halve_avgpool_width(monkeypatch):
+    avgpool = ndarray.avgpool_width
+    patch_everywhere(monkeypatch, avgpool, lambda *args: avgpool(*args) * np.float32(0.5))
+    return ["avgpool_width_oracle"]
 
 
 def skip_position_tail(monkeypatch):
@@ -81,7 +110,8 @@ def skip_position_tail(monkeypatch):
 @pytest.mark.parametrize(
     "mutate",
     [break_softmax, flip_mask, drop_sinkhorn_sweep, narrow_regression_window,
-     scale_conv2d, skip_position_tail],
+     regress_from_line_zero, scale_conv2d, scale_pixel_norm, shift_bilinear_upsample,
+     halve_avgpool_width, skip_position_tail],
     ids=lambda mutate: mutate.__name__,
 )
 def test_mutation_fails_named_checks(monkeypatch, mutate):
