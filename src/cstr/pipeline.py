@@ -388,6 +388,10 @@ def forward(
     must then divide the scale factor).
     """
     padded, (orig_h, orig_w) = pad_pair_to_multiple(pair, model.config.scale_denominator)
+    # the outputs outlive the pass: allocated before its temporaries, they sit
+    # low in the heap, and the allocator can return the space above them
+    disp_out = np.empty((orig_h, orig_w), dtype=np.float32)
+    occ_out = np.empty((orig_h, orig_w), dtype=np.float32)
     feat_l, feat_r, ctx = backbone_forward(padded, model)
     for layer in range(model.config.layers - 1):
         feat_l, feat_r, ctx, _ = cstr_layer(
@@ -399,12 +403,12 @@ def forward(
     disp, occ = refine_full_res(
         raw_disp, raw_occ, _to_gray(padded.left), model.refine_weights()
     )
-    disp_vals = disp.values[:orig_h, :orig_w]
-    occ_vals = occ.probs[:orig_h, :orig_w]
-    disp = DisparityMap(
-        np.clip(disp_vals, np.float32(0), np.float32(orig_w - 1)), scale=1.0
+    np.clip(
+        disp.values[:orig_h, :orig_w], np.float32(0), np.float32(orig_w - 1), out=disp_out
     )
-    occ = OcclusionMap(np.ascontiguousarray(occ_vals))
+    disp = DisparityMap(disp_out, scale=1.0)
+    occ_out[...] = occ.probs[:orig_h, :orig_w]
+    occ = OcclusionMap(occ_out)
     breakdown = None
     if gt is not None:
         if gt.disparity.shape != (orig_h, orig_w):
