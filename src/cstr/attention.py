@@ -50,8 +50,9 @@ The length guard therefore runs before the slice, and longer lines are
 rejected rather than extrapolated. Each public operation that updates
 features adds a residual connection around the attention update; stream
 normalization between sublayers is the caller's job (see pixel_norm).
-cross_scores returns only the matching scores, for a last layer whose
-features nothing reads.
+Logits are built in one loop, ``_logits_by_head``: the feature updates
+softmax each head's logits, and cross_scores averages them into the matching
+scores, the only scores the module returns.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ class AttentionWeights:
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """Per-epipolar-line attention scores, (lines, W_left, W_right).
+    """Per-epipolar-line matching scores, (lines, W_left, W_right), as
+    cross_scores returns them.
 
     Entries are finite except where a mask pinned them to -inf.
     """
@@ -278,38 +280,44 @@ def relative_logits(
     return _head_logits(q, k, table, weights, hs)[0]
 
 
+def _logits_by_head(
+    x_q: np.ndarray,
+    x_kv: np.ndarray,
+    weights: AttentionWeights,
+    heads: int,
+    mask: np.ndarray | None,
+):
+    """Run the head, length and mask checks and project queries and keys, all
+    at the call; return a lazy iterator of (head slice, masked logits) in head
+    order. The one place logits are built."""
+    n, m = x_q.shape[1], x_kv.shape[1]
+    ch = _check_heads(weights, heads)
+    table = _window(weights, n, m)
+    _check_mask(mask, n, m)
+    q_all = x_q @ weights.Wq
+    k_all = x_kv @ weights.Wk
+    slices = [slice(head * ch, (head + 1) * ch) for head in range(heads)]
+    return (
+        (hs, _head_logits(q_all[..., hs], k_all[..., hs], table, weights, hs, mask))
+        for hs in slices
+    )
+
+
 def _multihead(
     x_q: np.ndarray,
     x_kv: np.ndarray,
     weights: AttentionWeights,
     heads: int,
     mask: np.ndarray | None = None,
-    want_scores: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Batched attention over (lines, n, c) token stacks.
-
-    Returns the pre-residual update and, when requested, the head-averaged
-    masked logits.
-    """
-    lines, n, c = x_q.shape
-    m = x_kv.shape[1]
-    ch = _check_heads(weights, heads)
-    table = _window(weights, n, m)
-    _check_mask(mask, n, m)
-    q_all = x_q @ weights.Wq
-    k_all = x_kv @ weights.Wk
+) -> np.ndarray:
+    """Batched attention over (lines, n, c) token stacks; returns the
+    pre-residual update."""
+    per_head = _logits_by_head(x_q, x_kv, weights, heads, mask)
     v_all = x_kv @ weights.Wv
-    out = np.empty((lines, n, c), dtype=np.float32)
-    scores = np.zeros((lines, n, m), dtype=np.float32) if want_scores else None
-    for head in range(heads):
-        hs = slice(head * ch, (head + 1) * ch)
-        logits = _head_logits(q_all[..., hs], k_all[..., hs], table, weights, hs, mask)
-        if scores is not None:
-            scores += logits
+    out = np.empty(x_q.shape, dtype=np.float32)
+    for hs, logits in per_head:
         out[..., hs] = softmax_axis(logits, axis=2) @ v_all[..., hs]
-    if scores is not None:
-        scores /= np.float32(heads)
-    return out @ weights.Wo, scores
+    return out @ weights.Wo
 
 
 def axial_attention_width(
@@ -322,8 +330,7 @@ def axial_attention_width(
     if f.ndim != 3 or f.shape[0] != weights.channels:
         raise ValueError(f"feature shape {f.shape} does not match weights")
     rows = np.ascontiguousarray(f.transpose(1, 2, 0))
-    update, _ = _multihead(rows, rows, weights, heads)
-    return f + update.transpose(2, 0, 1)
+    return f + _multihead(rows, rows, weights, heads).transpose(2, 0, 1)
 
 
 def axial_attention_height(
@@ -333,8 +340,7 @@ def axial_attention_height(
     if f.ndim != 3 or f.shape[0] != weights.channels:
         raise ValueError(f"feature shape {f.shape} does not match weights")
     cols = np.ascontiguousarray(f.transpose(2, 1, 0))
-    update, _ = _multihead(cols, cols, weights, heads)
-    return f + update.transpose(2, 1, 0)
+    return f + _multihead(cols, cols, weights, heads).transpose(2, 1, 0)
 
 
 def _epipolar_rows(
@@ -357,20 +363,18 @@ def cross_attention(
     weights: AttentionWeights,
     heads: int,
     mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, ScoreMatrix]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Attend each image over the other, one epipolar line (row) at a time.
 
     ``mask`` is an additive (w, w) array of 0 / -inf applied to left-queries;
     right-queries use its transpose. Returns both updated features (with
-    residuals) and the head-averaged left-query scores for the matching head.
+    residuals); ``cross_scores`` gives the matching scores.
     """
     rows_l, rows_r = _epipolar_rows(left, right, weights)
-    up_l, scores = _multihead(rows_l, rows_r, weights, heads, mask, want_scores=True)
+    up_l = _multihead(rows_l, rows_r, weights, heads, mask)
     mask_t = None if mask is None else np.ascontiguousarray(mask.T)
-    up_r, _ = _multihead(rows_r, rows_l, weights, heads, mask_t)
-    new_left = left + up_l.transpose(2, 0, 1)
-    new_right = right + up_r.transpose(2, 0, 1)
-    return new_left, new_right, ScoreMatrix(scores)
+    up_r = _multihead(rows_r, rows_l, weights, heads, mask_t)
+    return left + up_l.transpose(2, 0, 1), right + up_r.transpose(2, 0, 1)
 
 
 def cross_scores(
@@ -380,24 +384,14 @@ def cross_scores(
     heads: int,
     mask: np.ndarray | None = None,
 ) -> ScoreMatrix:
-    """Only the head-averaged left-query scores of cross_attention.
-
-    Builds and sums the per-head logits in the same order, so the bytes equal
-    ``cross_attention(...)[2]``, but runs no value projection, softmax or
-    right-query pass.
-    """
+    """The head-averaged, masked left-query logits of cross_attention, which
+    the matching head reads: the heads' logits summed in head order, then
+    divided by the head count. No values, softmax or right-query pass."""
     rows_l, rows_r = _epipolar_rows(left, right, weights)
-    lines, n, _ = rows_l.shape
-    m = rows_r.shape[1]
-    ch = _check_heads(weights, heads)
-    table = _window(weights, n, m)
-    _check_mask(mask, n, m)
-    q_all = rows_l @ weights.Wq
-    k_all = rows_r @ weights.Wk
-    scores = np.zeros((lines, n, m), dtype=np.float32)
-    for head in range(heads):
-        hs = slice(head * ch, (head + 1) * ch)
-        scores += _head_logits(q_all[..., hs], k_all[..., hs], table, weights, hs, mask)
+    per_head = _logits_by_head(rows_l, rows_r, weights, heads, mask)
+    scores = np.zeros((len(rows_l), rows_l.shape[1], rows_r.shape[1]), dtype=np.float32)
+    for _, logits in per_head:
+        scores += logits
     scores /= np.float32(heads)
     return ScoreMatrix(scores)
 

@@ -29,6 +29,7 @@ from .attention import (
     cross_attention,
     pixel_norm,
 )
+from .formats import STRATEGIES
 from .matching import epipolar_mask
 from .ndarray import avgpool_width, bilinear_upsample, conv2d, relu
 
@@ -40,8 +41,6 @@ __all__ = [
     "cep_step",
     "path_fusion",
 ]
-
-STRATEGIES = ("M1", "M2", "M3")
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def _cross_pass(
     left: np.ndarray, right: np.ndarray, weights: CepLayerWeights, heads: int
 ):
     mask = epipolar_mask(left.shape[2], right.shape[2])
-    new_left, new_right, _ = cross_attention(left, right, weights.cross, heads, mask)
+    new_left, new_right = cross_attention(left, right, weights.cross, heads, mask)
     return pixel_norm(new_left), pixel_norm(new_right)
 
 

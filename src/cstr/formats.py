@@ -363,7 +363,7 @@ _SCALE_VALUES = {
     "0.125": 0.125,
 }
 
-_STRATEGIES = ("M1", "M2", "M3")
+STRATEGIES = ("M1", "M2", "M3")
 
 
 @dataclass(frozen=True)
@@ -395,8 +395,8 @@ class RunConfig:
             )
         if self.mmp_scale not in (0.5, 0.25, 0.125):
             raise ConfigError(f"mmp_scale must be 1/2, 1/4 or 1/8, got {self.mmp_scale}")
-        if self.cep_strategy not in _STRATEGIES:
-            raise ConfigError(f"cep_strategy must be one of {_STRATEGIES}")
+        if self.cep_strategy not in STRATEGIES:
+            raise ConfigError(f"cep_strategy must be one of {STRATEGIES}")
         if self.cep_width_factor < 1:
             raise ConfigError("cep_width_factor must be >= 1")
         if self.sinkhorn_iters < 1:
@@ -439,8 +439,8 @@ def _parse_scale(key: str, raw: str) -> float:
 
 
 def _parse_strategy(key: str, raw: str) -> str:
-    if raw not in _STRATEGIES:
-        raise ConfigError(f"{key}: expected one of {_STRATEGIES}, got {raw!r}")
+    if raw not in STRATEGIES:
+        raise ConfigError(f"{key}: expected one of {STRATEGIES}, got {raw!r}")
     return raw
 
 

@@ -129,18 +129,13 @@ def epipolar_mask(w_left: int, w_right: int, flip: bool = False) -> np.ndarray:
     return mask.astype(np.float32)
 
 
-def sinkhorn(
-    cost: np.ndarray,
-    iters: int,
-    epsilon: float,
-    dustbin_cost: float = DUSTBIN_COST,
-) -> np.ndarray:
+def sinkhorn(cost: np.ndarray, iters: int, epsilon: float) -> np.ndarray:
     """Log-domain Sinkhorn over a dustbin-augmented cost matrix.
 
     ``cost`` is (n, m) with +inf marking forbidden cells; the result is the
     (n+1, m+1) transport plan. Real rows/columns target unit mass; the
     dustbin row targets m and the dustbin column n, which keeps the problem
-    feasible for every mask.
+    feasible for every mask. Every dustbin cell costs DUSTBIN_COST.
 
     Each half-sweep is a log-sum-exp over one axis of ``log_kernel`` plus the
     other side's potential, evaluated in one preallocated buffer; a line whose
@@ -155,7 +150,7 @@ def sinkhorn(
     if np.isnan(cost).any() or np.isneginf(cost).any():
         raise ValueError("costs must be finite or +inf")
     n, m = cost.shape
-    log_kernel = np.full((n + 1, m + 1), np.float32(dustbin_cost), dtype=np.float32)
+    log_kernel = np.full((n + 1, m + 1), np.float32(DUSTBIN_COST), dtype=np.float32)
     log_kernel[:n, :m] = cost
     # a +inf cost negates to the -inf log weight of a forbidden cell
     np.negative(log_kernel, out=log_kernel)
@@ -265,10 +260,9 @@ def refine_full_res(
         gray = rgb_to_gray(left_image)[0]
     else:
         gray = left_image[0]
-    disp_up = bilinear_upsample(raw_disp.values[None], img_h, img_w)[0] * np.float32(
-        factor
-    )
-    occ_up = bilinear_upsample(raw_occ.probs[None], img_h, img_w)[0]
+    maps = bilinear_upsample(np.stack([raw_disp.values, raw_occ.probs]), img_h, img_w)
+    disp_up = maps[0] * np.float32(factor)
+    occ_up = maps[1]
     stack = np.stack([disp_up, gray])
     hidden = relu(conv2d(stack, weights.conv1_kernel, weights.conv1_bias))
     residual = conv2d(hidden, weights.conv2_kernel, weights.conv2_bias)[0]

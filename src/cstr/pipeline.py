@@ -2,11 +2,12 @@
 optimal-transport matching head, and full-resolution refinement.
 
 The matching head reads only the last layer's head-averaged left-query
-cross-attention scores. ``forward`` therefore runs the full ``cstr_layer``
-for every layer but the last, and the last one only up to those scores:
-axial attention on both images, then the masked left-query logits
-(``cross_scores``). Its right-query pass, value projection, context step and
-fusion would produce features nothing reads, so they never run.
+cross-attention scores, and ``cross_scores`` is the only producer of scores:
+``cstr_layer`` returns features and context. ``forward`` runs ``cstr_layer``
+for every layer but the last, and the last layer only up to the scores: axial
+attention on both images, then the masked left-query logits. That layer's
+right-query pass, value projection, context step and fusion would produce
+features nothing reads, so they never run.
 
 Weight naming scheme (all tensors float32, validated against the config
 before any compute):
@@ -289,11 +290,12 @@ def cstr_layer(
     layer: int,
     config: RunConfig,
     model: ModelDescription,
-) -> tuple[np.ndarray, np.ndarray, ContextState, ScoreMatrix]:
+) -> tuple[np.ndarray, np.ndarray, ContextState]:
     """One full stacked layer: axial self-attention, masked cross-attention,
     context advance, and (when the strategy emits) path fusion.
 
-    ``forward`` runs it for every layer but the last; the last layer's
+    Returns the next matching features of both images and the next context
+    state. ``forward`` runs it for every layer but the last; the last layer's
     features are never read, so there ``forward`` computes only the scores.
     """
     if not 0 <= layer < config.layers:
@@ -302,7 +304,7 @@ def cstr_layer(
     left, right = _axial_half(mmp_left, mmp_right, layer, heads, model)
     mask = epipolar_mask(left.shape[2], right.shape[2])
     cross = model.attn(f"layer{layer}.mmp.cross")
-    left_x, right_x, scores = cross_attention(left, right, cross, heads, mask)
+    left_x, right_x = cross_attention(left, right, cross, heads, mask)
     left = pixel_norm(left_x)
     right = pixel_norm(right_x)
     ctx_state, payload = cep_step(
@@ -312,7 +314,7 @@ def cstr_layer(
         fusion = model.fusion_weights(layer)
         left = path_fusion(left, payload[0], fusion)
         right = path_fusion(right, payload[1], fusion)
-    return left, right, ctx_state, scores
+    return left, right, ctx_state
 
 
 def _final_scores(
@@ -394,9 +396,7 @@ def forward(
     occ_out = np.empty((orig_h, orig_w), dtype=np.float32)
     feat_l, feat_r, ctx = backbone_forward(padded, model)
     for layer in range(model.config.layers - 1):
-        feat_l, feat_r, ctx, _ = cstr_layer(
-            feat_l, feat_r, ctx, layer, model.config, model
-        )
+        feat_l, feat_r, ctx = cstr_layer(feat_l, feat_r, ctx, layer, model.config, model)
     scores = _final_scores(feat_l, feat_r, model)
     plans = _line_plans(scores, model.config)
     raw_disp, raw_occ = regress_raw(plans, scale=model.config.mmp_scale)

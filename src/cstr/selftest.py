@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import ndarray as nd
-from .attention import AttentionWeights, cross_attention
+from .attention import AttentionWeights, cross_attention, cross_scores
 from .attention import axial_attention_height, axial_attention_width, pixel_norm
 from .attention import relative_logits
 from .context import CepLayerWeights, cep_step, make_context_features
@@ -36,9 +36,10 @@ from .formats import (
 )
 from .losses import binary_entropy_loss, finite_diff_check, relative_response_loss
 from .losses import GtBundle, smooth_l1, total_loss
-from .matching import AssignmentVolume, epipolar_mask, regress_raw, sinkhorn
+from .matching import DUSTBIN_COST, AssignmentVolume, DisparityMap, OcclusionMap
+from .matching import RefineWeights, epipolar_mask, refine_full_res, regress_raw, sinkhorn
 from .metrics import epe, occ_iou, three_px_error
-from .pipeline import ModelDescription, forward, init_weights
+from .pipeline import REFINE_HIDDEN, ModelDescription, forward, init_weights
 from .ndarray import Rng, seeded_normal
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "run_all",
     "random_attention_weights",
     "dense_attention_oracle",
+    "per_line_cross_scores",
     "reference_sinkhorn",
     "direct_regression",
     "direct_conv2d",
@@ -101,6 +103,33 @@ def dense_attention_oracle(
             e = np.exp(row - row.max())
             out[i, hs] = (e / e.sum()) @ v
     return out @ wo
+
+
+def per_line_cross_scores(
+    left: np.ndarray,
+    right: np.ndarray,
+    w: AttentionWeights,
+    heads: int,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Head-averaged masked left-query logits of two (c, h, w) maps, one
+    epipolar line and one head at a time through ``relative_logits``.
+
+    The heads are summed in head order into zeros, then divided by the head
+    count, as ``cross_scores`` does for all lines at once.
+    """
+    h = left.shape[1]
+    out = np.empty((h, left.shape[2], right.shape[2]), dtype=np.float32)
+    for y in range(h):
+        lq, rk = left[:, y, :].T, right[:, y, :].T
+        total = np.zeros(out.shape[1:], dtype=np.float32)
+        for head in range(heads):
+            logits = relative_logits(lq, w, head, keys=rk)
+            if mask is not None:
+                logits += mask
+            total += logits
+        out[y] = total / np.float32(heads)
+    return out
 
 
 def check_softmax_normalization() -> tuple[bool, str]:
@@ -301,6 +330,7 @@ def check_axial_height_dense_oracle() -> tuple[bool, str]:
 def check_cross_attention_dense_oracle() -> tuple[bool, str]:
     rng = Rng(23)
     worst = 0.0
+    worst_scores = 0.0
     for case in range(12):
         c, heads = 4, 2
         if case < 10:
@@ -313,7 +343,13 @@ def check_cross_attention_dense_oracle() -> tuple[bool, str]:
         left = seeded_normal(rng, (c, h, w), 1.0)
         right = seeded_normal(rng, (c, h, w), 1.0)
         mask = epipolar_mask(w, w) if case % 2 == 0 else None
-        got_l, got_r, _ = cross_attention(left, right, weights, heads, mask)
+        got_l, got_r = cross_attention(left, right, weights, heads, mask)
+        scores = cross_scores(left, right, weights, heads, mask).logits
+        want = per_line_cross_scores(left, right, weights, heads, mask)
+        if not np.array_equal(np.isneginf(scores), np.isneginf(want)):
+            return False, f"case {case}: cross_scores masks other cells"
+        finite = np.isfinite(want)
+        worst_scores = max(worst_scores, float(np.abs(scores[finite] - want[finite]).max()))
         for y in range(h):
             lq = left[:, y, :].T
             rq = right[:, y, :].T
@@ -322,7 +358,9 @@ def check_cross_attention_dense_oracle() -> tuple[bool, str]:
             want_r = rq + dense_attention_oracle(rq, lq, weights, heads, mask_t)
             worst = max(worst, float(np.abs(got_l[:, y, :].T - want_l).max()))
             worst = max(worst, float(np.abs(got_r[:, y, :].T - want_r).max()))
-    return worst < 1e-5, f"max |diff| = {worst:.2e}"
+    return worst < 1e-5 and worst_scores < 1e-6, (
+        f"max |diff| = {worst:.2e}, scores {worst_scores:.2e}"
+    )
 
 
 def check_position_encoding_structure() -> tuple[bool, str]:
@@ -349,12 +387,10 @@ def check_position_encoding_structure() -> tuple[bool, str]:
     return True, "content-only and zero-content identities hold exactly"
 
 
-def reference_sinkhorn(
-    cost: np.ndarray, iters: int, eps: float, dustbin: float = 0.0
-) -> np.ndarray:
+def reference_sinkhorn(cost: np.ndarray, iters: int, eps: float) -> np.ndarray:
     """Multiplicative-domain float64 transport solver (independent oracle)."""
     n, m = cost.shape
-    full = np.full((n + 1, m + 1), dustbin, dtype=np.float64)
+    full = np.full((n + 1, m + 1), DUSTBIN_COST, dtype=np.float64)
     full[:n, :m] = cost.astype(np.float64)
     kernel = np.exp(-full / eps)
     a = np.concatenate([np.ones(n), [float(m)]])
@@ -451,6 +487,29 @@ def check_disparity_regression_oracle() -> tuple[bool, str]:
         and float(occ.probs[0, 7]) == 0.0
     )
     return worst < 1e-7 and example_ok, f"max |diff| = {worst:.2e}"
+
+
+def check_refinement_zero_weights_identity() -> tuple[bool, str]:
+    rng = Rng(42)
+    hidden = REFINE_HIDDEN
+    shapes = [(hidden, 2, 3, 3), (hidden,), (1, hidden, 3, 3), (1,), (1, 2, 3, 3), (1,)]
+    zero = RefineWeights(*(np.zeros(shape, dtype=np.float32) for shape in shapes))
+    worst = 0.0
+    for factor in (2, 4, 8):
+        h = int(rng.generator.integers(1, 6))
+        w = int(rng.generator.integers(2, 9))
+        # disparities below w - 1 keep the upsampled map inside the clip
+        raw_d = rng.generator.random((h, w), dtype=np.float32) * np.float32(w - 1)
+        raw_o = rng.generator.random((h, w), dtype=np.float32)
+        image = rng.generator.random((1, h * factor, w * factor), dtype=np.float32)
+        disp, occ = refine_full_res(
+            DisparityMap(raw_d, scale=1.0 / factor), OcclusionMap(raw_o), image, zero
+        )
+        want_d = separable_upsample(raw_d[None], h * factor, w * factor)[0] * factor
+        want_o = separable_upsample(raw_o[None], h * factor, w * factor)[0]
+        for got, want in ((disp.values, want_d), (occ.probs, want_o)):
+            worst = max(worst, float((np.abs(got - want) / (1 + np.abs(want))).max()))
+    return worst < 1e-5, f"max relative |diff| = {worst:.2e} at factors 2, 4, 8"
 
 
 def check_gradcheck_relative_response() -> tuple[bool, str]:
@@ -694,6 +753,7 @@ CHECKS = [
     ("sinkhorn_masked_cells", check_sinkhorn_masked_cells),
     ("sinkhorn_reference_agreement", check_sinkhorn_reference_agreement),
     ("disparity_regression_oracle", check_disparity_regression_oracle),
+    ("refinement_zero_weights_identity", check_refinement_zero_weights_identity),
     ("gradcheck_relative_response", check_gradcheck_relative_response),
     ("gradcheck_smooth_l1", check_gradcheck_smooth_l1),
     ("gradcheck_binary_entropy", check_gradcheck_binary_entropy),

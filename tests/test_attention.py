@@ -13,7 +13,8 @@ from cstr import (
     relative_logits,
     seeded_normal,
 )
-from cstr.selftest import dense_attention_oracle, random_attention_weights
+from cstr.selftest import dense_attention_oracle, per_line_cross_scores
+from cstr.selftest import random_attention_weights
 
 F32 = np.float32
 
@@ -242,7 +243,7 @@ def test_cross_matches_dense_oracle_at_window_edges(length, heads):
     right_in = seeded_normal(rng, (c, 2, length), 1.0)
     for mask in (epipolar_mask(length, length), None):
         mask_t = None if mask is None else mask.T
-        left, right, _ = cross_attention(left_in, right_in, w, heads, mask)
+        left, right = cross_attention(left_in, right_in, w, heads, mask)
         for y in range(2):
             lq = left_in[:, y, :].T
             rq = right_in[:, y, :].T
@@ -273,7 +274,7 @@ def test_cross_uniform_when_queries_vanish():
     w = random_attention_weights(rng, c, heads, span=8)
     w = AttentionWeights(np.zeros_like(w.Wq), w.Wk, w.Wv, w.Wo, np.zeros_like(w.rel_pos))
     f = seeded_normal(rng, (c, 2, wpix), 1.0)
-    left, right, _ = cross_attention(f, f, w, heads)
+    left, right = cross_attention(f, f, w, heads)
     for y in range(2):
         row = f[:, y, :].T
         mean_v = (row @ w.Wv).mean(axis=0)
@@ -289,7 +290,7 @@ def test_cross_diagonal_mask_selects_same_index():
     mask = np.where(np.eye(wpix, dtype=bool), F32(0), F32(-np.inf))
     left_in = seeded_normal(rng, (c, 1, wpix), 1.0)
     right_in = seeded_normal(rng, (c, 1, wpix), 1.0)
-    left, right, _ = cross_attention(left_in, right_in, w, heads, mask)
+    left, right = cross_attention(left_in, right_in, w, heads, mask)
     for i in range(wpix):
         want_l = left_in[:, 0, i] + (right_in[:, 0, i] @ w.Wv) @ w.Wo
         np.testing.assert_allclose(left[:, 0, i], want_l, atol=1e-6)
@@ -304,7 +305,8 @@ def test_cross_matches_masked_dense_oracle():
     left_in = seeded_normal(rng, (c, 4, 4), 1.0)
     right_in = seeded_normal(rng, (c, 4, 4), 1.0)
     mask = epipolar_mask(4, 4)
-    left, right, scores = cross_attention(left_in, right_in, w, heads, mask)
+    left, right = cross_attention(left_in, right_in, w, heads, mask)
+    scores = cross_scores(left_in, right_in, w, heads, mask)
     for y in range(4):
         lq = left_in[:, y, :].T
         rq = right_in[:, y, :].T
@@ -325,7 +327,7 @@ def test_cross_scores_softmax_sums_to_one_over_unmasked():
     f = seeded_normal(rng, (c, 3, 6), 1.0)
     g = seeded_normal(rng, (c, 3, 6), 1.0)
     mask = epipolar_mask(6, 6)
-    _, _, scores = cross_attention(f, g, w, heads, mask)
+    scores = cross_scores(f, g, w, heads, mask)
     probs = softmax_axis(scores.logits, axis=2)
     np.testing.assert_allclose(probs.sum(axis=2), 1.0, atol=1e-6)
     assert (probs[np.isneginf(scores.logits)] == 0).all()
@@ -351,7 +353,8 @@ def test_cross_scores_bytes_equal_cross_attention_scores(length, heads, masked):
     left = seeded_normal(rng, (c, 3, length), 1.0)
     right = seeded_normal(rng, (c, 3, length), 1.0)
     mask = epipolar_mask(length, length) if masked else None
-    want = cross_attention(left, right, w, heads, mask)[2].logits
+    # the left-query logits of cross_attention, summed line by line
+    want = per_line_cross_scores(left, right, w, heads, mask)
     got = cross_scores(left, right, w, heads, mask).logits
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()

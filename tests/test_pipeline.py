@@ -11,9 +11,11 @@ from cstr import (
     ModelDescription,
     Rng,
     RunConfig,
+    ScoreMatrix,
     WeightStore,
     backbone_forward,
     cstr_layer,
+    epipolar_mask,
     forward,
     init_weights,
     pad_pair_to_multiple,
@@ -22,8 +24,9 @@ from cstr import (
     seeded_normal,
     weight_spec,
 )
-from cstr.pipeline import _line_plans
+from cstr.pipeline import _axial_half, _line_plans
 from cstr.matching import regress_raw
+from cstr.selftest import per_line_cross_scores
 
 F32 = np.float32
 
@@ -152,12 +155,17 @@ def test_pad_pair_replicates_and_reports_original():
 # --- layer stack ---
 
 
-def run_layers(config, model, pair):
+def reference_scores(config, model, pair):
+    """The matching scores: every layer but the last through cstr_layer,
+    then the last layer's axial half and the per-line reference score sum."""
     feat_l, feat_r, ctx = backbone_forward(pair, model)
-    scores = None
-    for layer in range(config.layers):
-        feat_l, feat_r, ctx, scores = cstr_layer(feat_l, feat_r, ctx, layer, config, model)
-    return feat_l, feat_r, scores
+    last = config.layers - 1
+    for layer in range(last):
+        feat_l, feat_r, ctx = cstr_layer(feat_l, feat_r, ctx, layer, config, model)
+    left, right = _axial_half(feat_l, feat_r, last, config.heads, model)
+    mask = epipolar_mask(left.shape[2], right.shape[2])
+    cross = model.attn(f"layer{last}.mmp.cross")
+    return ScoreMatrix(per_line_cross_scores(left, right, cross, config.heads, mask))
 
 
 def test_m2_fuses_only_at_last_layer():
@@ -192,7 +200,7 @@ def test_m3_fuses_every_layer():
 def test_final_scores_shape_and_mask():
     model = tiny_model(seed=9)
     pair = random_pair(seed=10)
-    _, _, scores = run_layers(TINY, model, pair)
+    scores = reference_scores(TINY, model, pair)
     assert scores.logits.shape == (4, 8, 8)
     lower = np.tril_indices(8, k=-1)
     assert np.isneginf(scores.logits[:, lower[0], lower[1]]).all()
@@ -294,11 +302,7 @@ def test_identical_images_self_match_below_one_pixel():
     model = ModelDescription(config, init_weights(config, span=16, seed=1))
     img = Rng(7).generator.random((1, 16, 32), dtype=F32)
     pair = ImagePair(img, img.copy())
-    feat_l, feat_r, ctx = backbone_forward(pair, model)
-    scores = None
-    for layer in range(config.layers):
-        feat_l, feat_r, ctx, scores = cstr_layer(feat_l, feat_r, ctx, layer, config, model)
-    plans = _line_plans(scores, config)
+    plans = _line_plans(reference_scores(config, model, pair), config)
     raw_disp, _ = regress_raw(plans, scale=config.mmp_scale)
     assert float(np.median(raw_disp.values)) < 1.0
 
@@ -429,10 +433,10 @@ def test_default_forward_peak_memory():
 
 
 def full_layers_reference(pair, model):
-    """forward as it was before the lean last layer: every layer through
-    cstr_layer, then the unchanged matching head and the clip."""
+    """forward from reference parts: the scores of reference_scores, then the
+    unchanged matching head and the clip."""
     config = model.config
-    _, _, scores = run_layers(config, model, pair)
+    scores = reference_scores(config, model, pair)
     raw_disp, raw_occ = regress_raw(_line_plans(scores, config), scale=config.mmp_scale)
     disp, occ = refine_full_res(raw_disp, raw_occ, pair.left, model.refine_weights())
     w = pair.shape[2]

@@ -79,13 +79,23 @@ def scale_pixel_norm(monkeypatch):
 def shift_bilinear_upsample(monkeypatch):
     upsample = ndarray.bilinear_upsample
     patch_everywhere(monkeypatch, upsample, lambda *args: upsample(*args) + np.float32(1e-2))
-    return ["bilinear_upsample_oracle"]
+    return ["bilinear_upsample_oracle", "refinement_zero_weights_identity"]
 
 
 def halve_avgpool_width(monkeypatch):
     avgpool = ndarray.avgpool_width
     patch_everywhere(monkeypatch, avgpool, lambda *args: avgpool(*args) * np.float32(0.5))
     return ["avgpool_width_oracle"]
+
+
+def scale_cross_scores(monkeypatch):
+    scores = attention.cross_scores
+    patch_everywhere(
+        monkeypatch,
+        scores,
+        lambda *args: attention.ScoreMatrix(scores(*args).logits * np.float32(1.01)),
+    )
+    return ["cross_attention_dense_oracle"]
 
 
 def skip_position_tail(monkeypatch):
@@ -111,7 +121,7 @@ def skip_position_tail(monkeypatch):
     "mutate",
     [break_softmax, flip_mask, drop_sinkhorn_sweep, narrow_regression_window,
      regress_from_line_zero, scale_conv2d, scale_pixel_norm, shift_bilinear_upsample,
-     halve_avgpool_width, skip_position_tail],
+     halve_avgpool_width, scale_cross_scores, skip_position_tail],
     ids=lambda mutate: mutate.__name__,
 )
 def test_mutation_fails_named_checks(monkeypatch, mutate):
