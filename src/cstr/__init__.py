@@ -4,6 +4,7 @@ and an oracle-backed self-verification suite."""
 
 from .attention import (
     AttentionWeights,
+    PathWeights,
     ScoreMatrix,
     axial_attention_height,
     axial_attention_width,
@@ -13,7 +14,6 @@ from .attention import (
     relative_logits,
 )
 from .context import (
-    CepLayerWeights,
     ContextState,
     FusionWeights,
     cep_step,

@@ -65,6 +65,7 @@ from .ndarray import _PIXEL_BLOCK, softmax_axis
 
 __all__ = [
     "AttentionWeights",
+    "PathWeights",
     "ScoreMatrix",
     "relative_logits",
     "axial_attention_width",
@@ -111,6 +112,17 @@ class AttentionWeights:
     @property
     def span(self) -> int:
         return (self.rel_pos.shape[0] + 1) // 2
+
+
+@dataclass(frozen=True)
+class PathWeights:
+    """One path's attention parameters in one layer: width-axial,
+    height-axial and cross attention. The matching path and the context path
+    have the same three."""
+
+    wax: AttentionWeights
+    hax: AttentionWeights
+    cross: AttentionWeights
 
 
 @dataclass(frozen=True)

@@ -65,10 +65,6 @@ def _cmd_infer(args) -> int:
     config = _load_config(args.config)
     left = read_pgm(args.left)[None]
     right = read_pgm(args.right)[None]
-    if left.shape != right.shape:
-        raise ValueError(
-            f"left {left.shape[1:]} and right {right.shape[1:]} images differ in shape"
-        )
     pair = ImagePair(left, right)
     model = ModelDescription(config, read_weights(args.weights))
     start = time.perf_counter()

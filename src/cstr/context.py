@@ -8,7 +8,9 @@ Three wiring strategies control when context is emitted for fusion:
   context; the post-cross result is the payload, the post-axial (pre-cross)
   feature is carried forward.
 * M2: every layer runs the axial pass only; a single cross pass runs at the
-  final layer, whose output is the only payload.
+  final layer, whose output is the only payload. ``forward`` runs only the
+  scores of the final layer, so under M2 it never computes a payload and its
+  outputs do not depend on the context path.
 * M3: every layer runs axial then cross; the post-cross feature is both the
   payload and the carried state.
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import (
-    AttentionWeights,
+    PathWeights,
     axial_attention_height,
     axial_attention_width,
     cross_attention,
@@ -35,7 +37,6 @@ from .ndarray import avgpool_width, bilinear_upsample, conv2d, relu
 
 __all__ = [
     "ContextState",
-    "CepLayerWeights",
     "FusionWeights",
     "make_context_features",
     "cep_step",
@@ -56,15 +57,6 @@ class ContextState:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.left_ctx.shape != self.right_ctx.shape:
             raise ValueError("left/right context shapes differ")
-
-
-@dataclass(frozen=True)
-class CepLayerWeights:
-    """One context layer's attention parameters."""
-
-    wax: AttentionWeights
-    hax: AttentionWeights
-    cross: AttentionWeights
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,7 @@ def make_context_features(
 
 
 def _axial_pass(
-    left: np.ndarray, right: np.ndarray, weights: CepLayerWeights, heads: int
+    left: np.ndarray, right: np.ndarray, weights: PathWeights, heads: int
 ):
     left = pixel_norm(axial_attention_width(left, weights.wax, heads))
     right = pixel_norm(axial_attention_width(right, weights.wax, heads))
@@ -104,7 +96,7 @@ def _axial_pass(
 
 
 def _cross_pass(
-    left: np.ndarray, right: np.ndarray, weights: CepLayerWeights, heads: int
+    left: np.ndarray, right: np.ndarray, weights: PathWeights, heads: int
 ):
     mask = epipolar_mask(left.shape[2], right.shape[2])
     new_left, new_right = cross_attention(left, right, weights.cross, heads, mask)
@@ -115,7 +107,7 @@ def cep_step(
     state: ContextState,
     layer: int,
     total_layers: int,
-    weights: CepLayerWeights,
+    weights: PathWeights,
     heads: int,
 ) -> tuple[ContextState, tuple[np.ndarray, np.ndarray] | None]:
     """Advance the context stream by one layer.

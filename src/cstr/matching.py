@@ -237,10 +237,11 @@ def refine_full_res(
     factor, then corrected by a residual from two convolutions over the
     (disparity, image) stack. Occlusion is upsampled and passed through a
     sigmoid-activated convolution head that is residual in logit space, so
-    zero weights leave both maps plainly upsampled.
+    zero weights leave both maps plainly upsampled. ``left_image`` is one
+    channel; ``forward`` passes an RGB pair's luma.
     """
-    if left_image.ndim != 3:
-        raise ValueError("left_image must be (c, h, w)")
+    if left_image.ndim != 3 or left_image.shape[0] != 1:
+        raise ValueError(f"left_image must be (1, h, w), got {left_image.shape}")
     h, w = raw_disp.values.shape
     if raw_occ.probs.shape != (h, w):
         raise ValueError("raw disparity and occlusion shapes differ")
@@ -254,12 +255,7 @@ def refine_full_res(
         raise ValueError(
             f"scale mismatch: map declares scale {raw_disp.scale}, image implies 1/{factor}"
         )
-    if left_image.shape[0] == 3:
-        from .formats import rgb_to_gray
-
-        gray = rgb_to_gray(left_image)[0]
-    else:
-        gray = left_image[0]
+    gray = left_image[0]
     maps = bilinear_upsample(np.stack([raw_disp.values, raw_occ.probs]), img_h, img_w)
     disp_up = maps[0] * np.float32(factor)
     occ_up = maps[1]

@@ -9,14 +9,21 @@ attention on both images, then the masked left-query logits. That layer's
 right-query pass, value projection, context step and fusion would produce
 features nothing reads, so they never run.
 
-Weight naming scheme (all tensors float32, validated against the config
-before any compute):
+Weight naming scheme (all tensors float32):
 
     backbone.conv{s}.kernel / .bias        s = 1..log2(1/mmp_scale)
     layer{i}.mmp.{wax,hax,cross}.{Wq,Wk,Wv,Wo,rel}
     layer{i}.cep.{wax,hax,cross}.{Wq,Wk,Wv,Wo,rel}
     fusion{i}.conv{1,2}.{kernel,bias}
     refine.conv{1,2}.{kernel,bias}, refine.occ.{kernel,bias}
+
+``ModelDescription`` validates a store against the config before any compute.
+On first use it resolves these names once into typed views of the store's
+arrays: ``backbone``, a (kernel, bias) pair per stage; ``layers``, per layer
+a ``LayerWeights`` of the matching-path and context-path ``PathWeights``
+(wax/hax/cross ``AttentionWeights``) and the ``FusionWeights``; and
+``refine``, the ``RefineWeights``. Names are built only in ``weight_spec``
+and ``ModelDescription``; the forward functions take the typed weights.
 
 Every layer carries a full context and fusion parameter set regardless of
 the configured strategy, so one weight file can drive M1, M2 or M3. The last
@@ -34,19 +41,14 @@ and crops automatically).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .attention import AttentionWeights, ScoreMatrix, cross_attention, cross_scores
+from .attention import AttentionWeights, PathWeights, ScoreMatrix
 from .attention import axial_attention_height, axial_attention_width, pixel_norm
-from .context import (
-    CepLayerWeights,
-    ContextState,
-    FusionWeights,
-    cep_step,
-    make_context_features,
-    path_fusion,
-)
+from .attention import cross_attention, cross_scores
+from .context import ContextState, FusionWeights, cep_step, make_context_features, path_fusion
 from .formats import ImagePair, RunConfig, WeightStore, rgb_to_gray
 from .losses import GtBundle, LossBreakdown, binary_entropy_loss
 from .losses import relative_response_loss, smooth_l1, total_loss
@@ -65,6 +67,7 @@ from .ndarray import Rng, conv2d, relu, seeded_normal
 __all__ = [
     "DEFAULT_SPAN",
     "REFINE_HIDDEN",
+    "LayerWeights",
     "ModelDescription",
     "weight_spec",
     "init_weights",
@@ -143,9 +146,23 @@ def init_weights(
 
 
 @dataclass(frozen=True)
+class LayerWeights:
+    """One stacked layer's parameters: the matching path, the context path
+    and the block that fuses context into the matching stream."""
+
+    mmp: PathWeights
+    cep: PathWeights
+    fusion: FusionWeights
+
+
+@dataclass(frozen=True)
 class ModelDescription:
     """A validated (config, weights) bundle; construction fails fast on any
-    missing, unexpected or mis-shaped tensor."""
+    missing, unexpected or mis-shaped tensor.
+
+    ``backbone``, ``layers`` and ``refine`` are typed views of the store's
+    arrays, resolved from the names on first use (see the module docstring).
+    """
 
     config: RunConfig
     weights: WeightStore
@@ -169,42 +186,41 @@ class ModelDescription:
                 raise ValueError(f"tensor {name} has shape {got}, expected {shape}")
         object.__setattr__(self, "span", span)
 
-    def attn(self, prefix: str) -> AttentionWeights:
-        w = self.weights
-        return AttentionWeights(
-            Wq=w[f"{prefix}.Wq"],
-            Wk=w[f"{prefix}.Wk"],
-            Wv=w[f"{prefix}.Wv"],
-            Wo=w[f"{prefix}.Wo"],
-            rel_pos=w[f"{prefix}.rel"],
+    @cached_property
+    def backbone(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """One (kernel, bias) pair per stride-2 stage."""
+        stages = range(1, self.config.scale_denominator.bit_length())
+        return tuple(self._conv(f"backbone.conv{s}") for s in stages)
+
+    @cached_property
+    def layers(self) -> tuple[LayerWeights, ...]:
+        """One ``LayerWeights`` per stacked layer."""
+        return tuple(
+            LayerWeights(
+                mmp=self._path(f"layer{i}.mmp"),
+                cep=self._path(f"layer{i}.cep"),
+                fusion=FusionWeights(
+                    *self._conv(f"fusion{i}.conv1"), *self._conv(f"fusion{i}.conv2")
+                ),
+            )
+            for i in range(self.config.layers)
         )
 
-    def cep_weights(self, layer: int) -> CepLayerWeights:
-        return CepLayerWeights(
-            wax=self.attn(f"layer{layer}.cep.wax"),
-            hax=self.attn(f"layer{layer}.cep.hax"),
-            cross=self.attn(f"layer{layer}.cep.cross"),
-        )
+    @cached_property
+    def refine(self) -> RefineWeights:
+        """The refinement head's convolutions."""
+        convs = ("refine.conv1", "refine.conv2", "refine.occ")
+        return RefineWeights(*(t for name in convs for t in self._conv(name)))
 
-    def fusion_weights(self, layer: int) -> FusionWeights:
-        w = self.weights
-        return FusionWeights(
-            conv1_kernel=w[f"fusion{layer}.conv1.kernel"],
-            conv1_bias=w[f"fusion{layer}.conv1.bias"],
-            conv2_kernel=w[f"fusion{layer}.conv2.kernel"],
-            conv2_bias=w[f"fusion{layer}.conv2.bias"],
-        )
+    def _conv(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        return self.weights[f"{name}.kernel"], self.weights[f"{name}.bias"]
 
-    def refine_weights(self) -> RefineWeights:
-        w = self.weights
-        return RefineWeights(
-            conv1_kernel=w["refine.conv1.kernel"],
-            conv1_bias=w["refine.conv1.bias"],
-            conv2_kernel=w["refine.conv2.kernel"],
-            conv2_bias=w["refine.conv2.bias"],
-            occ_kernel=w["refine.occ.kernel"],
-            occ_bias=w["refine.occ.bias"],
-        )
+    def _path(self, name: str) -> PathWeights:
+        def attention(sub: str) -> AttentionWeights:
+            tensors = ("Wq", "Wk", "Wv", "Wo", "rel")
+            return AttentionWeights(*(self.weights[f"{name}.{sub}.{t}"] for t in tensors))
+
+        return PathWeights(attention("wax"), attention("hax"), attention("cross"))
 
 
 def pad_pair_to_multiple(pair: ImagePair, multiple: int) -> tuple[ImagePair, tuple[int, int]]:
@@ -251,9 +267,7 @@ def backbone_forward(
 
     def run(image: np.ndarray) -> np.ndarray:
         feat = _to_gray(image)
-        for s in range(1, denom.bit_length()):
-            kernel = model.weights[f"backbone.conv{s}.kernel"]
-            bias = model.weights[f"backbone.conv{s}.bias"]
+        for kernel, bias in model.backbone:
             feat = relu(conv2d(feat, kernel, bias, stride=2))
         return feat
 
@@ -266,20 +280,16 @@ def backbone_forward(
 
 
 def _axial_half(
-    mmp_left: np.ndarray,
-    mmp_right: np.ndarray,
-    layer: int,
-    heads: int,
-    model: ModelDescription,
+    left: np.ndarray, right: np.ndarray, weights: PathWeights, heads: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Width- then height-axial self-attention of one matching-path layer,
-    each sublayer re-normalized per pixel."""
-    wax = model.attn(f"layer{layer}.mmp.wax")
-    hax = model.attn(f"layer{layer}.mmp.hax")
-    left = pixel_norm(axial_attention_width(mmp_left, wax, heads))
-    right = pixel_norm(axial_attention_width(mmp_right, wax, heads))
-    left = pixel_norm(axial_attention_height(left, hax, heads))
-    right = pixel_norm(axial_attention_height(right, hax, heads))
+    each sublayer re-normalized per pixel. ``context._axial_pass`` is the same
+    block on the context path; each stays in its own module because the
+    benchmark tracer tells the paths apart by the module a call goes through."""
+    left = pixel_norm(axial_attention_width(left, weights.wax, heads))
+    right = pixel_norm(axial_attention_width(right, weights.wax, heads))
+    left = pixel_norm(axial_attention_height(left, weights.hax, heads))
+    right = pixel_norm(axial_attention_height(right, weights.hax, heads))
     return left, right
 
 
@@ -288,7 +298,6 @@ def cstr_layer(
     mmp_right: np.ndarray,
     ctx_state: ContextState,
     layer: int,
-    config: RunConfig,
     model: ModelDescription,
 ) -> tuple[np.ndarray, np.ndarray, ContextState]:
     """One full stacked layer: axial self-attention, masked cross-attention,
@@ -298,22 +307,20 @@ def cstr_layer(
     state. ``forward`` runs it for every layer but the last; the last layer's
     features are never read, so there ``forward`` computes only the scores.
     """
+    config = model.config
     if not 0 <= layer < config.layers:
         raise ValueError(f"layer {layer} out of range for {config.layers} layers")
+    weights = model.layers[layer]
     heads = config.heads
-    left, right = _axial_half(mmp_left, mmp_right, layer, heads, model)
+    left, right = _axial_half(mmp_left, mmp_right, weights.mmp, heads)
     mask = epipolar_mask(left.shape[2], right.shape[2])
-    cross = model.attn(f"layer{layer}.mmp.cross")
-    left_x, right_x = cross_attention(left, right, cross, heads, mask)
+    left_x, right_x = cross_attention(left, right, weights.mmp.cross, heads, mask)
     left = pixel_norm(left_x)
     right = pixel_norm(right_x)
-    ctx_state, payload = cep_step(
-        ctx_state, layer, config.layers, model.cep_weights(layer), heads
-    )
+    ctx_state, payload = cep_step(ctx_state, layer, config.layers, weights.cep, heads)
     if payload is not None:
-        fusion = model.fusion_weights(layer)
-        left = path_fusion(left, payload[0], fusion)
-        right = path_fusion(right, payload[1], fusion)
+        left = path_fusion(left, payload[0], weights.fusion)
+        right = path_fusion(right, payload[1], weights.fusion)
     return left, right, ctx_state
 
 
@@ -322,12 +329,11 @@ def _final_scores(
 ) -> ScoreMatrix:
     """The last layer up to the matching scores: its axial half, then the
     masked left-query cross-attention logits averaged over heads."""
-    layer = model.config.layers - 1
+    weights = model.layers[-1].mmp
     heads = model.config.heads
-    left, right = _axial_half(mmp_left, mmp_right, layer, heads, model)
+    left, right = _axial_half(mmp_left, mmp_right, weights, heads)
     mask = epipolar_mask(left.shape[2], right.shape[2])
-    cross = model.attn(f"layer{layer}.mmp.cross")
-    return cross_scores(left, right, cross, heads, mask)
+    return cross_scores(left, right, weights.cross, heads, mask)
 
 
 def _line_plans(scores: ScoreMatrix, config: RunConfig) -> AssignmentVolume:
@@ -350,12 +356,6 @@ def _loss_breakdown(
     config: RunConfig,
 ) -> LossBreakdown:
     step = config.scale_denominator
-    gt_h, gt_w = gt.disparity.shape
-    if gt_h % step or gt_w % step:
-        raise ValueError(
-            f"ground-truth extents {gt_h}x{gt_w} must divide the scale factor "
-            f"{step} for the loss path"
-        )
     gt_raw_disp = gt.disparity[::step, ::step] * np.float32(config.mmp_scale)
     gt_raw_occ = gt.occlusion[::step, ::step].astype(bool)
     # matched pixels whose interpolation position leaves the line are dropped
@@ -386,39 +386,40 @@ def forward(
     the scores the matching head reads (see the module docstring), which
     gives the same bytes as running it in full. Inputs with awkward extents
     are replicate-padded and the outputs cropped back. When ground truth is
-    supplied the supervision breakdown is computed as well (original extents
-    must then divide the scale factor).
+    supplied the supervision breakdown is computed as well; the ground truth
+    must then match the image extents, and these must divide the scale
+    factor. Both are checked before any compute.
     """
-    padded, (orig_h, orig_w) = pad_pair_to_multiple(pair, model.config.scale_denominator)
+    denom = model.config.scale_denominator
+    if gt is not None:
+        _, h, w = pair.shape
+        if gt.disparity.shape != (h, w):
+            raise ValueError(
+                f"ground truth {gt.disparity.shape} does not match images ({h}, {w})"
+            )
+        if h % denom or w % denom:
+            raise ValueError(
+                f"loss path requires image extents {h}x{w} divisible by the "
+                f"scale factor {denom}"
+            )
+    padded, (orig_h, orig_w) = pad_pair_to_multiple(pair, denom)
     # the outputs outlive the pass: allocated before its temporaries, they sit
     # low in the heap, and the allocator can return the space above them
     disp_out = np.empty((orig_h, orig_w), dtype=np.float32)
     occ_out = np.empty((orig_h, orig_w), dtype=np.float32)
     feat_l, feat_r, ctx = backbone_forward(padded, model)
     for layer in range(model.config.layers - 1):
-        feat_l, feat_r, ctx = cstr_layer(feat_l, feat_r, ctx, layer, model.config, model)
+        feat_l, feat_r, ctx = cstr_layer(feat_l, feat_r, ctx, layer, model)
     scores = _final_scores(feat_l, feat_r, model)
     plans = _line_plans(scores, model.config)
     raw_disp, raw_occ = regress_raw(plans, scale=model.config.mmp_scale)
-    disp, occ = refine_full_res(
-        raw_disp, raw_occ, _to_gray(padded.left), model.refine_weights()
-    )
+    disp, occ = refine_full_res(raw_disp, raw_occ, _to_gray(padded.left), model.refine)
     np.clip(
         disp.values[:orig_h, :orig_w], np.float32(0), np.float32(orig_w - 1), out=disp_out
     )
     disp = DisparityMap(disp_out, scale=1.0)
     occ_out[...] = occ.probs[:orig_h, :orig_w]
     occ = OcclusionMap(occ_out)
-    breakdown = None
-    if gt is not None:
-        if gt.disparity.shape != (orig_h, orig_w):
-            raise ValueError(
-                f"ground truth {gt.disparity.shape} does not match images "
-                f"({orig_h}, {orig_w})"
-            )
-        if (orig_h, orig_w) != padded.shape[1:]:
-            raise ValueError(
-                "loss path requires image extents divisible by the scale factor"
-            )
-        breakdown = _loss_breakdown(plans, raw_disp, disp, occ, gt, model.config)
-    return disp, occ, breakdown
+    if gt is None:
+        return disp, occ, None
+    return disp, occ, _loss_breakdown(plans, raw_disp, disp, occ, gt, model.config)

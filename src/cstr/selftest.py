@@ -17,10 +17,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import ndarray as nd
-from .attention import AttentionWeights, cross_attention, cross_scores
+from .attention import AttentionWeights, PathWeights, cross_attention, cross_scores
 from .attention import axial_attention_height, axial_attention_width, pixel_norm
 from .attention import relative_logits
-from .context import CepLayerWeights, cep_step, make_context_features
+from .context import cep_step, make_context_features
 from .formats import (
     FormatError,
     ImagePair,
@@ -46,6 +46,7 @@ __all__ = [
     "CHECKS",
     "run_all",
     "random_attention_weights",
+    "random_path_weights",
     "dense_attention_oracle",
     "per_line_cross_scores",
     "reference_sinkhorn",
@@ -67,6 +68,11 @@ def random_attention_weights(rng: Rng, c: int, heads: int, span: int) -> Attenti
         Wo=seeded_normal(rng, (c, c), std),
         rel_pos=seeded_normal(rng, (2 * span - 1, c // heads), 0.1),
     )
+
+
+def random_path_weights(rng: Rng, c: int, heads: int, span: int) -> PathWeights:
+    """Seeded wax, hax and cross attention parameters, drawn in that order."""
+    return PathWeights(*(random_attention_weights(rng, c, heads, span) for _ in range(3)))
 
 
 def dense_attention_oracle(
@@ -569,14 +575,7 @@ def check_cep_payload_schedule() -> tuple[bool, str]:
     for strategy in ("M1", "M2", "M3"):
         feat = seeded_normal(Rng(52), (c, 4, 8), 1.0)
         state = make_context_features(feat, feat, 1, strategy)
-        layer_weights = [
-            CepLayerWeights(
-                wax=random_attention_weights(rng, c, heads, 8),
-                hax=random_attention_weights(rng, c, heads, 8),
-                cross=random_attention_weights(rng, c, heads, 8),
-            )
-            for _ in range(layers)
-        ]
+        layer_weights = [random_path_weights(rng, c, heads, 8) for _ in range(layers)]
         emitted = []
         for layer in range(layers):
             state, payload = cep_step(state, layer, layers, layer_weights[layer], heads)

@@ -2,26 +2,18 @@ import numpy as np
 import pytest
 
 from cstr import (
-    CepLayerWeights,
     ContextState,
     FusionWeights,
+    PathWeights,
     Rng,
     cep_step,
     make_context_features,
     path_fusion,
     seeded_normal,
 )
-from cstr.selftest import random_attention_weights
+from cstr.selftest import random_attention_weights, random_path_weights
 
 F32 = np.float32
-
-
-def layer_weights(rng: Rng, c: int, heads: int, span: int = 8) -> CepLayerWeights:
-    return CepLayerWeights(
-        wax=random_attention_weights(rng, c, heads, span),
-        hax=random_attention_weights(rng, c, heads, span),
-        cross=random_attention_weights(rng, c, heads, span),
-    )
 
 
 def run_schedule(strategy: str, layers: int) -> list[bool]:
@@ -31,7 +23,8 @@ def run_schedule(strategy: str, layers: int) -> list[bool]:
     state = make_context_features(feat, feat, 1, strategy)
     flags = []
     for layer in range(layers):
-        state, payload = cep_step(state, layer, layers, layer_weights(rng, c, heads), heads)
+        weights = random_path_weights(rng, c, heads, 8)
+        state, payload = cep_step(state, layer, layers, weights, heads)
         flags.append(payload is not None)
     return flags
 
@@ -89,7 +82,7 @@ def test_single_layer_strategies_coincide_in_value():
     c, heads = 4, 2
     feat_l = seeded_normal(Rng(33), (c, 2, 8), 1.0)
     feat_r = seeded_normal(Rng(34), (c, 2, 8), 1.0)
-    weights = layer_weights(Rng(35), c, heads)
+    weights = random_path_weights(Rng(35), c, heads, 8)
     payloads = {}
     for strategy in ("M1", "M2", "M3"):
         state = make_context_features(feat_l, feat_r, 1, strategy)
@@ -105,9 +98,9 @@ def test_m1_carries_pre_cross_state():
     # parameters, which only shape the payload
     c, heads = 4, 2
     feat = seeded_normal(Rng(36), (c, 2, 8), 1.0)
-    base = layer_weights(Rng(37), c, heads)
+    base = random_path_weights(Rng(37), c, heads, 8)
     other_cross = random_attention_weights(Rng(38), c, heads, 8)
-    variant = CepLayerWeights(wax=base.wax, hax=base.hax, cross=other_cross)
+    variant = PathWeights(wax=base.wax, hax=base.hax, cross=other_cross)
     state = make_context_features(feat, feat, 1, "M1")
     next_a, payload_a = cep_step(state, 0, 6, base, heads)
     next_b, payload_b = cep_step(state, 0, 6, variant, heads)
@@ -119,7 +112,8 @@ def test_m3_carries_the_payload():
     c, heads = 4, 2
     feat = seeded_normal(Rng(39), (c, 2, 8), 1.0)
     state = make_context_features(feat, feat, 1, "M3")
-    next_state, payload = cep_step(state, 0, 6, layer_weights(Rng(40), c, heads), heads)
+    weights = random_path_weights(Rng(40), c, heads, 8)
+    next_state, payload = cep_step(state, 0, 6, weights, heads)
     np.testing.assert_array_equal(next_state.left_ctx, payload[0])
     np.testing.assert_array_equal(next_state.right_ctx, payload[1])
 
@@ -127,7 +121,7 @@ def test_m3_carries_the_payload():
 def test_cep_step_is_pure():
     c, heads = 4, 2
     feat = seeded_normal(Rng(41), (c, 2, 8), 1.0)
-    weights = layer_weights(Rng(42), c, heads)
+    weights = random_path_weights(Rng(42), c, heads, 8)
     state = make_context_features(feat, feat, 1, "M3")
     a = cep_step(state, 0, 6, weights, heads)
     b = cep_step(state, 0, 6, weights, heads)
@@ -139,7 +133,7 @@ def test_cep_step_rejects_out_of_range_layer():
     feat = np.zeros((4, 2, 4), dtype=F32)
     state = make_context_features(feat, feat, 1)
     with pytest.raises(ValueError):
-        cep_step(state, 6, 6, layer_weights(Rng(43), 4, 2), 2)
+        cep_step(state, 6, 6, random_path_weights(Rng(43), 4, 2, 8), 2)
 
 
 def test_context_state_validates_strategy():

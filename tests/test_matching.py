@@ -344,6 +344,14 @@ def test_refine_rejects_indivisible_extents():
         refine_full_res(raw_d, raw_o, image, zero_refine_weights())
 
 
+def test_refine_rejects_rgb_image():
+    raw_d = DisparityMap(np.zeros((4, 8), dtype=F32), scale=0.25)
+    raw_o = OcclusionMap(np.zeros((4, 8), dtype=F32))
+    image = np.zeros((3, 16, 32), dtype=F32)
+    with pytest.raises(ValueError, match="1, h, w"):
+        refine_full_res(raw_d, raw_o, image, zero_refine_weights())
+
+
 def test_refine_golden_transcript():
     # frozen output hash of a fixed-seed refinement (regression tripwire)
     import hashlib

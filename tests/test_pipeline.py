@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -19,11 +20,14 @@ from cstr import (
     forward,
     init_weights,
     pad_pair_to_multiple,
+    path_fusion,
     refine_full_res,
     relative_logits,
+    rgb_to_gray,
     seeded_normal,
     weight_spec,
 )
+import cstr.pipeline
 from cstr.pipeline import _axial_half, _line_plans
 from cstr.matching import regress_raw
 from cstr.selftest import per_line_cross_scores
@@ -105,6 +109,27 @@ def test_validation_rejects_extra_tensor():
         ModelDescription(TINY, WeightStore(tensors))
 
 
+def typed_arrays(value):
+    """Every array of nested typed weights, in field order."""
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value) for a in typed_arrays(getattr(value, f.name))]
+    if isinstance(value, tuple):
+        return [a for item in value for a in typed_arrays(item)]
+    return [value]
+
+
+@pytest.mark.parametrize(
+    "config", [TINY, RunConfig(layers=1, channels=32, mmp_scale=0.125)], ids=["tiny", "eighth"]
+)
+def test_typed_weights_are_the_stores_arrays_in_naming_order(config):
+    model = ModelDescription(config, init_weights(config, span=8))
+    typed = typed_arrays((model.backbone, model.layers, model.refine))
+    stored = [model.weights[name] for name in weight_spec(config, span=8)]
+    assert len(typed) == len(stored)
+    assert all(a is b for a, b in zip(typed, stored))
+    assert model.span == 8
+
+
 # --- backbone ---
 
 
@@ -161,40 +186,27 @@ def reference_scores(config, model, pair):
     feat_l, feat_r, ctx = backbone_forward(pair, model)
     last = config.layers - 1
     for layer in range(last):
-        feat_l, feat_r, ctx = cstr_layer(feat_l, feat_r, ctx, layer, config, model)
-    left, right = _axial_half(feat_l, feat_r, last, config.heads, model)
+        feat_l, feat_r, ctx = cstr_layer(feat_l, feat_r, ctx, layer, model)
+    weights = model.layers[last].mmp
+    left, right = _axial_half(feat_l, feat_r, weights, config.heads)
     mask = epipolar_mask(left.shape[2], right.shape[2])
-    cross = model.attn(f"layer{last}.mmp.cross")
-    return ScoreMatrix(per_line_cross_scores(left, right, cross, config.heads, mask))
+    return ScoreMatrix(per_line_cross_scores(left, right, weights.cross, config.heads, mask))
 
 
-def test_m2_fuses_only_at_last_layer():
-    # payload presence is what gates fusion; M2 emits only at the last layer
-    from cstr import cep_step
+@pytest.mark.parametrize("strategy, calls", [("M1", 4), ("M2", 0), ("M3", 4)])
+def test_forward_path_fusion_calls(strategy, calls, monkeypatch):
+    # layers 0 and 1 fuse both images under M1 and M3; the last layer computes
+    # only scores, so M2, which emits only there, never fuses
+    config = RunConfig(layers=3, channels=8, heads=2, cep_strategy=strategy)
+    seen = []
 
-    config = RunConfig(layers=6, channels=8, heads=2, cep_strategy="M2")
-    model = ModelDescription(config, init_weights(config, span=16, seed=5))
-    pair = random_pair(seed=6)
-    state = backbone_forward(pair, model)[2]
-    flags = []
-    for layer in range(config.layers):
-        state, payload = cep_step(state, layer, config.layers, model.cep_weights(layer), 2)
-        flags.append(payload is not None)
-    assert flags == [False] * 5 + [True]
+    def counted(*args):
+        seen.append(args)
+        return path_fusion(*args)
 
-
-def test_m3_fuses_every_layer():
-    config = RunConfig(layers=3, channels=8, heads=2, cep_strategy="M3")
-    model = ModelDescription(config, init_weights(config, span=16, seed=7))
-    pair = random_pair(seed=8)
-    from cstr import cep_step
-
-    state = backbone_forward(pair, model)[2]
-    flags = []
-    for layer in range(config.layers):
-        state, payload = cep_step(state, layer, config.layers, model.cep_weights(layer), 2)
-        flags.append(payload is not None)
-    assert flags == [True] * 3
+    monkeypatch.setattr(cstr.pipeline, "path_fusion", counted)
+    forward(random_pair(seed=6), tiny_model(seed=5, config=config))
+    assert len(seen) == calls
 
 
 def test_final_scores_shape_and_mask():
@@ -224,14 +236,12 @@ def test_identical_images_give_symmetric_prematch_logits():
     from cstr import axial_attention_height, axial_attention_width
 
     heads = config.heads
-    wax = model.attn("layer0.mmp.wax")
-    hax = model.attn("layer0.mmp.hax")
-    cross = model.attn("layer0.mmp.cross")
-    stream = pixel_norm(axial_attention_width(feat_l, wax, heads))
-    stream = pixel_norm(axial_attention_height(stream, hax, heads))
+    weights = model.layers[0].mmp
+    stream = pixel_norm(axial_attention_width(feat_l, weights.wax, heads))
+    stream = pixel_norm(axial_attention_height(stream, weights.hax, heads))
     line = stream[:, 0, :].T
     for head in range(heads):
-        logits = relative_logits(line, cross, head)
+        logits = relative_logits(line, weights.cross, head)
         np.testing.assert_allclose(logits, logits.T, atol=1e-5)
 
 
@@ -240,7 +250,7 @@ def test_layer_out_of_range_rejected():
     pair = random_pair()
     feat_l, feat_r, ctx = backbone_forward(pair, model)
     with pytest.raises(ValueError):
-        cstr_layer(feat_l, feat_r, ctx, 2, TINY, model)
+        cstr_layer(feat_l, feat_r, ctx, 2, model)
 
 
 def test_layer_count_one_runs():
@@ -332,6 +342,29 @@ def test_forward_gt_shape_mismatch_rejected(tiny_model, tiny_pair):
     gt = GtBundle(np.zeros((8, 8), dtype=F32), np.zeros((8, 8)))
     with pytest.raises(ValueError):
         forward(tiny_pair, tiny_model, gt)
+
+
+def test_forward_rejects_indivisible_gt_before_any_compute(tiny_model, monkeypatch):
+    ran = []
+
+    def backbone(*args):
+        ran.append(True)
+        return backbone_forward(*args)
+
+    monkeypatch.setattr(cstr.pipeline, "backbone_forward", backbone)
+    gt = GtBundle(np.zeros((15, 30), dtype=F32), np.zeros((15, 30)))
+    with pytest.raises(ValueError, match="divisible"):
+        forward(random_pair(shape=(1, 15, 30)), tiny_model, gt)
+    assert ran == []
+
+
+def test_forward_rgb_pair_equals_its_luma_pair(tiny_model):
+    pair = random_pair(seed=18, shape=(3, 16, 32))
+    gray = ImagePair(rgb_to_gray(pair.left), rgb_to_gray(pair.right))
+    disp, occ, _ = forward(pair, tiny_model)
+    want_disp, want_occ, _ = forward(gray, tiny_model)
+    assert disp.values.tobytes() == want_disp.values.tobytes()
+    assert occ.probs.tobytes() == want_occ.probs.tobytes()
 
 
 GOLDEN_FORWARD = "7668d55d42cf8dda0b577700355de284c4bdcbb8fce89e3cff73cf0b9081407a"
@@ -438,7 +471,7 @@ def full_layers_reference(pair, model):
     config = model.config
     scores = reference_scores(config, model, pair)
     raw_disp, raw_occ = regress_raw(_line_plans(scores, config), scale=config.mmp_scale)
-    disp, occ = refine_full_res(raw_disp, raw_occ, pair.left, model.refine_weights())
+    disp, occ = refine_full_res(raw_disp, raw_occ, pair.left, model.refine)
     w = pair.shape[2]
     return np.clip(disp.values, F32(0), F32(w - 1)), occ.probs
 
