@@ -53,6 +53,14 @@ normalization between sublayers is the caller's job (see pixel_norm).
 Logits are built in one loop, ``_logits_by_head``: the feature updates
 softmax each head's logits, and cross_scores averages them into the matching
 scores, the only scores the module returns.
+
+Lines never mix: every product is batched over lines, which numpy runs as
+one GEMM per line, and every softmax reduction runs along one row. A call
+over some of the lines therefore gives each of them the bytes it gets in a
+call over all of them. The feature updates use this to hand half of a large
+call's lines to a second thread (``ndarray._split_two_ways``), after the
+head, length and mask checks have run on the calling thread; the bytes do
+not depend on whether the split ran.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndarray import _PIXEL_BLOCK, softmax_axis
+from .ndarray import _PIXEL_BLOCK, _split_two_ways, softmax_axis
 
 __all__ = [
     "AttentionWeights",
@@ -292,27 +300,55 @@ def relative_logits(
     return _head_logits(q, k, table, weights, hs)[0]
 
 
-def _logits_by_head(
-    x_q: np.ndarray,
-    x_kv: np.ndarray,
-    weights: AttentionWeights,
-    heads: int,
-    mask: np.ndarray | None,
-):
-    """Run the head, length and mask checks and project queries and keys, all
-    at the call; return a lazy iterator of (head slice, masked logits) in head
-    order. The one place logits are built."""
-    n, m = x_q.shape[1], x_kv.shape[1]
+def _checked_window(
+    weights: AttentionWeights, heads: int, n: int, m: int, mask: np.ndarray | None
+) -> tuple[int, np.ndarray]:
+    """Run the head, length and mask checks; return the head channels and the
+    offset window of n queries over m keys."""
     ch = _check_heads(weights, heads)
     table = _window(weights, n, m)
     _check_mask(mask, n, m)
-    q_all = x_q @ weights.Wq
-    k_all = x_kv @ weights.Wk
-    slices = [slice(head * ch, (head + 1) * ch) for head in range(heads)]
-    return (
-        (hs, _head_logits(q_all[..., hs], k_all[..., hs], table, weights, hs, mask))
-        for hs in slices
-    )
+    return ch, table
+
+
+def _logits_by_head(
+    q_all: np.ndarray,
+    k_all: np.ndarray,
+    table: np.ndarray,
+    weights: AttentionWeights,
+    ch: int,
+    mask: np.ndarray | None,
+):
+    """Lazy (head slice, masked logits) pairs in head order, from the
+    projected (lines, n|m, c) queries and keys. The one place logits are
+    built."""
+    for head in range(q_all.shape[2] // ch):
+        hs = slice(head * ch, (head + 1) * ch)
+        yield hs, _head_logits(q_all[..., hs], k_all[..., hs], table, weights, hs, mask)
+
+
+def _attend_lines(
+    x_q: np.ndarray,
+    x_kv: np.ndarray,
+    weights: AttentionWeights,
+    table: np.ndarray,
+    ch: int,
+    mask: np.ndarray | None,
+    out: np.ndarray,
+    q_all: np.ndarray | None = None,
+    k_all: np.ndarray | None = None,
+    v_all: np.ndarray | None = None,
+) -> None:
+    """Attention update of a (lines, n, c) stack into ``out``. The
+    projections go to the given arrays, or to new ones where None."""
+    q_all = np.matmul(x_q, weights.Wq, out=q_all)
+    k_all = np.matmul(x_kv, weights.Wk, out=k_all)
+    v_all = np.matmul(x_kv, weights.Wv, out=v_all)
+    for hs, logits in _logits_by_head(q_all, k_all, table, weights, ch, mask):
+        # a head's output replaces its own query columns, which only its
+        # logits read
+        q_all[..., hs] = softmax_axis(logits, axis=2) @ v_all[..., hs]
+    np.matmul(q_all, weights.Wo, out=out)
 
 
 def _multihead(
@@ -323,13 +359,23 @@ def _multihead(
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched attention over (lines, n, c) token stacks; returns the
-    pre-residual update."""
-    per_head = _logits_by_head(x_q, x_kv, weights, heads, mask)
-    v_all = x_kv @ weights.Wv
+    pre-residual update. Large calls split their lines in two (see the
+    module docstring)."""
+    n, m = x_q.shape[1], x_kv.shape[1]
+    ch, table = _checked_window(weights, heads, n, m, mask)
     out = np.empty(x_q.shape, dtype=np.float32)
-    for hs, logits in per_head:
-        out[..., hs] = softmax_axis(logits, axis=2) @ v_all[..., hs]
-    return out @ weights.Wo
+
+    def prepare(lo: int, hi: int):
+        xq, xkv, dest = x_q[lo:hi], x_kv[lo:hi], out[lo:hi]
+        buffers = ()
+        if hi - lo < len(x_q):
+            # a part that runs beside another projects into arrays made here,
+            # on the calling thread: the helper's allocator keeps its own pages
+            buffers = tuple(np.empty(t.shape, dtype=np.float32) for t in (xq, xkv, xkv))
+        return lambda: _attend_lines(xq, xkv, weights, table, ch, mask, dest, *buffers)
+
+    _split_two_ways(len(x_q), len(x_q) * n * x_q.shape[2] ** 2, prepare)
+    return out
 
 
 def axial_attention_width(
@@ -400,7 +446,9 @@ def cross_scores(
     the matching head reads: the heads' logits summed in head order, then
     divided by the head count. No values, softmax or right-query pass."""
     rows_l, rows_r = _epipolar_rows(left, right, weights)
-    per_head = _logits_by_head(rows_l, rows_r, weights, heads, mask)
+    ch, table = _checked_window(weights, heads, rows_l.shape[1], rows_r.shape[1], mask)
+    q_all, k_all = rows_l @ weights.Wq, rows_r @ weights.Wk
+    per_head = _logits_by_head(q_all, k_all, table, weights, ch, mask)
     scores = np.zeros((len(rows_l), rows_l.shape[1], rows_r.shape[1]), dtype=np.float32)
     for _, logits in per_head:
         scores += logits

@@ -14,12 +14,22 @@ Fixed conventions, chosen once so that outputs are reproducible bit for bit:
 * reductions keep numpy's fixed evaluation order, so identical inputs give
   identical bits on a given platform regardless of caller threading.
 
-All functions here are pure: no global state, no in-place mutation of inputs.
+All functions here are pure: no in-place mutation of inputs, and no global
+state except one helper thread per process. Large calls split their
+independent items in two (conv2d its im2col bands, attention its lines): the
+calling thread computes the first part, the helper the second, each with the
+same numpy calls on the same rows as a one-thread run, so the bytes do not
+depend on the split. The helper starts on the first split, only where two
+CPUs are allowed; a fork child starts its own.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import contextmanager
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -95,8 +105,133 @@ def softmax_axis(t: np.ndarray, axis: int) -> np.ndarray:
     return shifted
 
 
-# Byte budget of one band of conv2d's im2col columns.
-_IM2COL_BYTES = 4 << 20
+# Multiply-adds below which a call runs on one thread: handing half of it to
+# the helper costs about as much as a small call saves.
+_SPLIT_WORK = 16_000_000
+
+# Per-thread flag: split calls made here run whole on this thread. The helper
+# sets it for itself, so its work never waits on its own queue.
+_local = threading.local()
+
+
+class _Helper:
+    """One daemon thread that runs the second part of two-way splits, in the
+    order the calls hand them over."""
+
+    def __init__(self):
+        self._jobs = SimpleQueue()
+        threading.Thread(target=self._serve, name="cstr-split", daemon=True).start()
+
+    def _serve(self) -> None:
+        _local.serial = True
+        while True:
+            # one call per job, so that no job's arrays outlive it here
+            self._run_one(*self._jobs.get())
+
+    @staticmethod
+    def _run_one(claim: threading.Lock, part, done: threading.Event, errors: list) -> None:
+        if not claim.acquire(blocking=False):
+            return  # the caller ran the part itself
+        try:
+            part()
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def run(self, first, second) -> None:
+        """Run ``first()`` here and ``second()`` on the helper; return when both
+        have ended, and raise the first error of the two.
+
+        Whichever thread claims ``second`` first runs it: a helper that has
+        not started it by the time ``first`` ends (its CPU busy elsewhere)
+        leaves it to the caller.
+        """
+        claim, done, errors = threading.Lock(), threading.Event(), []
+        self._jobs.put((claim, second, done, errors))
+        try:
+            first()
+        except BaseException:
+            # the helper's part writes the caller's arrays: wait for it
+            if not claim.acquire(blocking=False):
+                done.wait()
+            raise
+        if claim.acquire(blocking=False):
+            second()
+            return
+        done.wait()
+        if errors:
+            raise errors[0]
+
+
+_helper: _Helper | None = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    # a fork child inherits the handle but not the thread behind it
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _two_cpus() -> bool:
+    try:
+        return len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) >= 2
+
+
+def _split_helper() -> _Helper | None:
+    """The process's helper, started on first use; None where this thread may
+    not split (one CPU, or the helper itself)."""
+    global _helper
+    if getattr(_local, "serial", False) or not _two_cpus():
+        return None
+    with _helper_lock:
+        if _helper is None:
+            _helper = _Helper()
+        return _helper
+
+
+@contextmanager
+def _one_thread():
+    """Run the split calls made on this thread inside the block whole."""
+    before = getattr(_local, "serial", False)
+    _local.serial = True
+    try:
+        yield
+    finally:
+        _local.serial = before
+
+
+def _split_two_ways(count: int, work: int, prepare) -> None:
+    """Compute a call's ``count`` independent items on one thread or two.
+
+    ``prepare(lo, hi)`` runs on the calling thread, allocates what items
+    lo..hi-1 need and returns a function that computes them. A call of at
+    least two items and ``_SPLIT_WORK`` multiply-adds, made where
+    ``_split_helper`` allows, gives items 0..count//2-1 to this thread and the
+    rest to the helper; any other call runs ``prepare(0, count)()`` here. The
+    parts must compute every item with the numpy calls a one-part run makes,
+    so that the bytes do not depend on the split.
+    """
+    helper = _split_helper() if count >= 2 and work >= _SPLIT_WORK else None
+    if helper is None:
+        prepare(0, count)()
+        return
+    half = count // 2
+    first, second = prepare(0, half), prepare(half, count)
+    helper.run(first, second)
+
+
+# Byte budget of one band of conv2d's im2col columns. A split call holds two
+# bands at once; at 2 MiB they take what one 4 MiB band did, and they stay
+# below the 4 MiB from which numpy asks for huge pages.
+_IM2COL_BYTES = 2 << 20
 # conv2d hands BLAS whole blocks of this many pixels: edge blocks and tiny
 # products take other kernels, whose rounding differs from the main one.
 _PIXEL_BLOCK = 16
@@ -123,6 +258,10 @@ def conv2d(
     to a small-matrix kernel that sums more than a few hundred taps in
     another order, so with few output channels over many taps (2 outputs
     from 2304 taps, say) the last bits can depend on the band size.
+
+    Bands are independent, so a large call hands whole bands to the helper
+    thread (``_split_two_ways``), each thread filling its own band buffer.
+    The band layout is the same either way.
     """
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError("conv2d expects (c,h,w) input and (o,c,kh,kw) kernel")
@@ -161,30 +300,38 @@ def conv2d(
         band -= band % step
     band = min(band, out_h)
     width = -(-band * out_w // _PIXEL_BLOCK) * _PIXEL_BLOCK
-    # whole rows cover the padded width, so the flat view never copies
-    grid = np.zeros((c_in, kh, kw, -(-width // out_w), out_w), dtype=np.float32)
-    cols = grid.reshape(k, -1)
-    spill = None
-    for y0 in range(0, out_h, band):
-        rows = min(band, out_h - y0)
-        n = rows * out_w
-        m = -(-n // _PIXEL_BLOCK) * _PIXEL_BLOCK
-        grid[:, :, :, :rows] = windows[:, :, :, y0 : y0 + rows]
-        dest = flat[:, y0 * out_w : y0 * out_w + n]
-        if m > n:
-            if spill is None:
-                spill = np.empty((c_out, width), dtype=np.float32)
-            target = spill[:, :m]
-        else:
-            target = dest
-        if c_out == 1:
-            # BLAS serves a one-row product with a threaded gemv whose rounding
-            # depends on the thread count; einsum's own loop keeps bytes fixed.
-            np.einsum("ok,kn->on", taps, cols[:, :m], out=target)
-        else:
-            np.matmul(taps, cols[:, :m], out=target)
-        if m > n:
-            dest[...] = target[:, :n]
+    starts = range(0, out_h, band)
+    # some band's pixels do not fill whole blocks, so its product goes to a spill
+    spills = (band * out_w % _PIXEL_BLOCK or out_h % band * out_w % _PIXEL_BLOCK) > 0
+
+    def prepare(lo: int, hi: int):
+        # each part's band buffers, allocated on the calling thread; whole
+        # rows cover the padded width, so the flat view never copies
+        grid = np.zeros((c_in, kh, kw, -(-width // out_w), out_w), dtype=np.float32)
+        cols = grid.reshape(k, -1)
+        spill = np.empty((c_out, width), dtype=np.float32) if spills else None
+
+        def run():
+            for y0 in starts[lo:hi]:
+                rows = min(band, out_h - y0)
+                n = rows * out_w
+                m = -(-n // _PIXEL_BLOCK) * _PIXEL_BLOCK
+                grid[:, :, :, :rows] = windows[:, :, :, y0 : y0 + rows]
+                dest = flat[:, y0 * out_w : y0 * out_w + n]
+                target = spill[:, :m] if m > n else dest
+                if c_out == 1:
+                    # BLAS serves a one-row product with a threaded gemv whose
+                    # rounding depends on the thread count; einsum's own loop
+                    # keeps bytes fixed.
+                    np.einsum("ok,kn->on", taps, cols[:, :m], out=target)
+                else:
+                    np.matmul(taps, cols[:, :m], out=target)
+                if m > n:
+                    dest[...] = target[:, :n]
+
+        return run
+
+    _split_two_ways(len(starts), c_out * k * out_h * out_w, prepare)
     out += bias[:, None, None]
     return out
 

@@ -244,8 +244,11 @@ def pad_pair_to_multiple(pair: ImagePair, multiple: int) -> tuple[ImagePair, tup
     )
 
 
-def _to_gray(image: np.ndarray) -> np.ndarray:
-    return rgb_to_gray(image) if image.shape[0] == 3 else image
+def _luma(pair: ImagePair) -> ImagePair:
+    """The pair itself if it has one channel, else both images' luma."""
+    if pair.shape[0] == 1:
+        return pair
+    return ImagePair(rgb_to_gray(pair.left), rgb_to_gray(pair.right))
 
 
 def backbone_forward(
@@ -254,7 +257,8 @@ def backbone_forward(
     """Shared-weight convolutional feature extraction for both images.
 
     Produces matching-path features at mmp_scale and the width-pooled
-    context seed. Image extents must already divide the scale factor.
+    context seed. An RGB pair is converted to luma first. Image extents must
+    already divide the scale factor.
     """
     config = model.config
     denom = config.scale_denominator
@@ -265,12 +269,12 @@ def backbone_forward(
             "pad the pair first (pad_pair_to_multiple)"
         )
 
-    def run(image: np.ndarray) -> np.ndarray:
-        feat = _to_gray(image)
+    def run(feat: np.ndarray) -> np.ndarray:
         for kernel, bias in model.backbone:
             feat = relu(conv2d(feat, kernel, bias, stride=2))
         return feat
 
+    pair = _luma(pair)
     feat_l = run(pair.left)
     feat_r = run(pair.right)
     ctx = make_context_features(
@@ -407,13 +411,15 @@ def forward(
     # low in the heap, and the allocator can return the space above them
     disp_out = np.empty((orig_h, orig_w), dtype=np.float32)
     occ_out = np.empty((orig_h, orig_w), dtype=np.float32)
-    feat_l, feat_r, ctx = backbone_forward(padded, model)
+    # one luma pair feeds both the backbone and the refinement
+    gray = _luma(padded)
+    feat_l, feat_r, ctx = backbone_forward(gray, model)
     for layer in range(model.config.layers - 1):
         feat_l, feat_r, ctx = cstr_layer(feat_l, feat_r, ctx, layer, model)
     scores = _final_scores(feat_l, feat_r, model)
     plans = _line_plans(scores, model.config)
     raw_disp, raw_occ = regress_raw(plans, scale=model.config.mmp_scale)
-    disp, occ = refine_full_res(raw_disp, raw_occ, _to_gray(padded.left), model.refine)
+    disp, occ = refine_full_res(raw_disp, raw_occ, gray.left, model.refine)
     np.clip(
         disp.values[:orig_h, :orig_w], np.float32(0), np.float32(orig_w - 1), out=disp_out
     )

@@ -369,6 +369,30 @@ def check_cross_attention_dense_oracle() -> tuple[bool, str]:
     )
 
 
+def check_two_way_split_matches_serial() -> tuple[bool, str]:
+    """Split-size cross attention (16 masked lines of 64 tokens, 128
+    channels) and conv2d (3 bands) give the bytes of one-thread runs."""
+    rng = Rng(29)
+    c, heads = 128, 4
+    weights = random_attention_weights(rng, c, heads, 64)
+    left = seeded_normal(rng, (c, 16, 64), 1.0)
+    right = seeded_normal(rng, (c, 16, 64), 1.0)
+    mask = epipolar_mask(64, 64)
+    x = seeded_normal(rng, (64, 32, 64), 1.0)
+    kernel = seeded_normal(rng, (16, 64, 3, 3), 1.0 / 24)
+    bias = seeded_normal(rng, (16,), 1.0)
+
+    def run() -> list[bytes]:
+        pair = cross_attention(left, right, weights, heads, mask)
+        return [t.tobytes() for t in (*pair, nd.conv2d(x, kernel, bias))]
+
+    split = run()
+    with nd._one_thread():
+        serial = run()
+    ran = "split" if nd._two_cpus() else "one CPU, so no split ran"
+    return split == serial, f"3 outputs, {ran}"
+
+
 def check_position_encoding_structure() -> tuple[bool, str]:
     rng = Rng(24)
     c, heads, span, n = 8, 2, 12, 6
@@ -747,6 +771,7 @@ CHECKS = [
     ("axial_width_dense_oracle", check_axial_width_dense_oracle),
     ("axial_height_dense_oracle", check_axial_height_dense_oracle),
     ("cross_attention_dense_oracle", check_cross_attention_dense_oracle),
+    ("two_way_split_matches_serial", check_two_way_split_matches_serial),
     ("position_encoding_structure", check_position_encoding_structure),
     ("sinkhorn_row_marginals", check_sinkhorn_row_marginals),
     ("sinkhorn_masked_cells", check_sinkhorn_masked_cells),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cstr import ImagePair, ModelDescription, Rng, RunConfig, init_weights
+from cstr import ndarray
 
 
 TINY_CONFIG = RunConfig(layers=2, channels=8, heads=2)
@@ -18,3 +19,28 @@ def tiny_pair() -> ImagePair:
     left = rng.generator.random((1, 16, 32), dtype=np.float32)
     right = rng.generator.random((1, 16, 32), dtype=np.float32)
     return ImagePair(left, right)
+
+
+@pytest.fixture()
+def two_way(monkeypatch):
+    """``two_way(True)`` forces ndarray's two-way split on for every call of
+    two or more items (threshold 0, two CPUs); ``two_way(False)`` forces it
+    off (no second CPU, so no helper). Each call returns a list that counts
+    the splits run from then on."""
+    runs = []
+    run = ndarray._Helper.run
+    threshold = ndarray._SPLIT_WORK
+
+    def counted(self, first, second):
+        runs.append(1)
+        run(self, first, second)
+
+    monkeypatch.setattr(ndarray._Helper, "run", counted)
+
+    def force(on: bool) -> list:
+        monkeypatch.setattr(ndarray, "_two_cpus", lambda: on)
+        monkeypatch.setattr(ndarray, "_SPLIT_WORK", 0 if on else threshold)
+        runs.clear()
+        return runs
+
+    return force

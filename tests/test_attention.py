@@ -1,3 +1,7 @@
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from cstr import (
     relative_logits,
     seeded_normal,
 )
+from cstr import attention, ndarray
 from cstr.selftest import dense_attention_oracle, per_line_cross_scores
 from cstr.selftest import random_attention_weights
 
@@ -395,3 +400,95 @@ def test_pixel_norm_zero_mean_unit_variance():
     out = pixel_norm(f)
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-6)
     np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-4)
+
+
+# --- two-way line split ---
+
+
+def split_case(lines, length, c=16, heads=2, seed=0):
+    w = random_attention_weights(Rng(100 + seed), c, heads, span=64)
+    rng = Rng(110 + seed)
+    x_q = seeded_normal(rng, (lines, length, c), 1.0)
+    x_kv = seeded_normal(rng, (lines, length, c), 1.0)
+    return x_q, x_kv, w, heads
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("length", [8, 16, 24, 64])
+@pytest.mark.parametrize("lines", [1, 2, 3, 5, 32])
+def test_multihead_split_bytes_equal_serial(two_way, lines, length, masked):
+    x_q, x_kv, w, heads = split_case(lines, length, seed=length)
+    mask = epipolar_mask(length, length) if masked else None
+    two_way(False)
+    serial = attention._multihead(x_q, x_kv, w, heads, mask)
+    runs = two_way(True)
+    split = attention._multihead(x_q, x_kv, w, heads, mask)
+    assert len(runs) == (lines >= 2)
+    assert split.tobytes() == serial.tobytes()
+
+
+# 16 lines of 64 tokens at 128 channels reach the split threshold unforced
+SPLIT_SIZE = (16, 64, 128, 4)
+
+
+def test_concurrent_callers_get_the_serial_bytes(two_way, monkeypatch):
+    x_q, x_kv, w, heads = split_case(*SPLIT_SIZE)
+    mask = epipolar_mask(SPLIT_SIZE[1], SPLIT_SIZE[1])
+    threshold = ndarray._SPLIT_WORK
+    two_way(False)
+    want = attention._multihead(x_q, x_kv, w, heads, mask).tobytes()
+    runs = two_way(True)
+    # at the real threshold the calls split on their size alone
+    monkeypatch.setattr(ndarray, "_SPLIT_WORK", threshold)
+    got = []
+
+    def caller():
+        for _ in range(3):
+            got.append(attention._multihead(x_q, x_kv, w, heads, mask).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 12
+    assert len(runs) == 12
+
+
+def _split_in_fork_child(x_q, x_kv, w, heads, want):
+    got = attention._multihead(x_q, x_kv, w, heads).tobytes()
+    sys.exit(0 if got == want else 1)
+
+
+@pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks")
+def test_fork_child_after_a_split_runs_its_own_split(two_way):
+    runs = two_way(True)
+    x_q, x_kv, w, heads = split_case(4, 16)
+    want = attention._multihead(x_q, x_kv, w, heads).tobytes()
+    assert runs  # the parent's helper is running
+    child = multiprocessing.get_context("fork").Process(
+        target=_split_in_fork_child, args=(x_q, x_kv, w, heads, want)
+    )
+    child.start()
+    child.join(timeout=60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_bad_mask_raises_the_serial_message_in_the_caller(two_way, split):
+    runs = two_way(split)
+    x_q, x_kv, w, heads = split_case(4, 8)
+    with pytest.raises(ValueError, match=r"^mask must be \(8, 8\), got \(8, 7\)$"):
+        attention._multihead(x_q, x_kv, w, heads, np.zeros((8, 7), dtype=F32))
+    assert runs == []

@@ -1,3 +1,5 @@
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -170,6 +172,88 @@ def test_conv2d_fusion_sized_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 15 * 2**20
+
+
+@pytest.mark.parametrize("c_out", [1, 128])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("bands", [1, 2, 3, 4, 5])
+def test_conv2d_split_bytes_equal_serial(two_way, monkeypatch, bands, stride, c_out):
+    # 20x32 outputs at stride 1, 10x16 at stride 2; whole-block rows, so the
+    # budget alone sets the band height: ceil(out_h / bands) rows
+    x, kernel, bias = _conv_case(4, 20, 32, c_out)
+    out_h, out_w = 20 // stride, 32 // stride
+    band = -(-out_h // bands)
+    assert -(-out_h // band) == bands
+    monkeypatch.setattr(ndarray, "_IM2COL_BYTES", 4 * 36 * out_w * band)
+    two_way(False)
+    serial = conv2d(x, kernel, bias, stride=stride)
+    runs = two_way(True)
+    split = conv2d(x, kernel, bias, stride=stride)
+    assert len(runs) == (bands >= 2)
+    assert split.tobytes() == serial.tobytes()
+
+
+def raise_error(message):
+    raise RuntimeError(message)
+
+
+def test_split_errors_reach_the_caller_after_both_parts_end(two_way):
+    two_way(True)
+    helper = ndarray._split_helper()
+    started, finished = threading.Event(), []
+
+    def slow():
+        started.set()
+        time.sleep(0.05)
+        finished.append(True)
+
+    def fail_once_started():
+        assert started.wait(timeout=60)
+        raise_error("caller part")
+
+    with pytest.raises(RuntimeError, match="caller part"):
+        helper.run(fail_once_started, slow)
+    assert finished == [True]
+    started.clear()
+    with pytest.raises(RuntimeError, match="helper part"):
+        helper.run(lambda: started.wait(timeout=60), lambda: (started.set(), raise_error("helper part")))
+
+
+def test_caller_runs_a_second_part_the_helper_has_not_started(two_way):
+    two_way(True)
+    helper = ndarray._split_helper()
+    busy, release, ran = threading.Event(), threading.Event(), []
+
+    def block():
+        busy.set()
+        release.wait(timeout=60)
+
+    # the helper is busy with a part of another call until the release
+    blocker = threading.Thread(target=helper.run, args=(lambda: busy.wait(timeout=60), block))
+    blocker.start()
+    try:
+        helper.run(lambda: None, lambda: ran.append(threading.current_thread().name))
+    finally:
+        release.set()
+        blocker.join(timeout=60)
+    assert not blocker.is_alive()
+    assert ran == [threading.current_thread().name]
+
+
+def test_work_on_the_helper_never_splits_again(two_way):
+    two_way(True)
+    helper = ndarray._split_helper()
+    seen, ran = [], threading.Event()
+
+    def nested():
+        seen.append((threading.current_thread().name, ndarray._split_helper()))
+        ran.set()
+
+    helper.run(lambda: ran.wait(timeout=60), nested)
+    assert seen == [("cstr-split", None)]
+    with ndarray._one_thread():
+        assert ndarray._split_helper() is None
+    assert ndarray._split_helper() is helper
 
 
 # --- pooling ---

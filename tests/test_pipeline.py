@@ -443,6 +443,32 @@ def test_default_forward_bytes_independent_of_blas_threads():
     assert digests[0] == digests[1]
 
 
+def test_default_forward_bytes_independent_of_the_two_way_split(two_way):
+    config = RunConfig()
+    model = ModelDescription(config, init_weights(config, seed=0))
+    pair = random_pair(shape=(1, 128, 256))
+    digests = []
+    for on in (False, True):
+        runs = two_way(on)
+        disp, occ, _ = forward(pair, model)
+        digests.append(disp.values.tobytes() + occ.probs.tobytes())
+        assert bool(runs) == on
+    assert digests[0] == digests[1]
+
+
+def test_rgb_forward_converts_each_image_to_luma_once(tiny_model, monkeypatch):
+    calls = []
+    luma = cstr.pipeline.rgb_to_gray
+
+    def counted(image):
+        calls.append(image.shape)
+        return luma(image)
+
+    monkeypatch.setattr(cstr.pipeline, "rgb_to_gray", counted)
+    forward(random_pair(seed=18, shape=(3, 16, 32)), tiny_model)
+    assert calls == [(3, 16, 32)] * 2
+
+
 def test_default_forward_peak_memory():
     # default config on a 128x256 pair; conv2d's banded im2col keeps the
     # traced peak well below the 33 MiB of full-image columns

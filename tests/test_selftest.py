@@ -116,12 +116,24 @@ def skip_position_tail(monkeypatch):
             "cross_attention_dense_oracle"]
 
 
+def shift_line_split(monkeypatch):
+    # the helper's part starts one line (or band) late: that one is never computed
+    split = ndarray._split_two_ways
+
+    def shifted(count, work, prepare):
+        split(count, work, lambda lo, hi: prepare(lo + (lo > 0), hi))
+
+    patch_everywhere(monkeypatch, split, shifted)
+    monkeypatch.setattr(ndarray, "_two_cpus", lambda: True)
+    return ["two_way_split_matches_serial"]
+
+
 # each mutation patches the package and returns the checks it must fail
 @pytest.mark.parametrize(
     "mutate",
     [break_softmax, flip_mask, drop_sinkhorn_sweep, narrow_regression_window,
      regress_from_line_zero, scale_conv2d, scale_pixel_norm, shift_bilinear_upsample,
-     halve_avgpool_width, scale_cross_scores, skip_position_tail],
+     halve_avgpool_width, scale_cross_scores, skip_position_tail, shift_line_split],
     ids=lambda mutate: mutate.__name__,
 )
 def test_mutation_fails_named_checks(monkeypatch, mutate):
