@@ -443,6 +443,28 @@ def test_default_forward_bytes_independent_of_blas_threads():
     assert digests[0] == digests[1]
 
 
+# Shapes whose stages run on two threads, frozen before the per-image tasks
+# replaced the per-call split: the default M3 config on a 128x256 pair, and
+# M1 with 3 layers on a 68x132 pair that forward pads to 72x136.
+THREADED_SHAPES = {
+    "default_m3": (RunConfig(), 0, (1, 128, 256)),
+    "m1_padded": (RunConfig(layers=3, cep_strategy="M1"), 7, (1, 68, 132)),
+}
+THREADED_DIGESTS = {
+    "default_m3": "7c7c692bd422ebd1bc17d861ff1c266489aec771c86bb041d6a4ca975aa4fb16",
+    "m1_padded": "48762553296992a68ec8408a668ae482ea6fa9873ee01164ccb6da6f09debb9a",
+}
+
+
+@pytest.mark.parametrize("name", list(THREADED_SHAPES))
+def test_threaded_shape_forward_digest(name):
+    config, seed, shape = THREADED_SHAPES[name]
+    model = ModelDescription(config, init_weights(config, seed=0))
+    disp, occ, _ = forward(random_pair(seed=seed, shape=shape), model)
+    digest = hashlib.sha256(disp.values.tobytes() + occ.probs.tobytes()).hexdigest()
+    assert digest == THREADED_DIGESTS[name]
+
+
 def test_default_forward_bytes_independent_of_the_two_way_split(two_way):
     config = RunConfig()
     model = ModelDescription(config, init_weights(config, seed=0))
