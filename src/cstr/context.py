@@ -33,7 +33,7 @@ from .attention import (
 )
 from .formats import STRATEGIES
 from .matching import epipolar_mask
-from .ndarray import avgpool_width, bilinear_upsample, conv2d, relu
+from .ndarray import _both, avgpool_width, bilinear_upsample, conv2d
 
 __all__ = [
     "ContextState",
@@ -85,19 +85,16 @@ def make_context_features(
     )
 
 
-def _axial_pass(
-    left: np.ndarray, right: np.ndarray, weights: PathWeights, heads: int
-):
-    left = pixel_norm(axial_attention_width(left, weights.wax, heads))
-    right = pixel_norm(axial_attention_width(right, weights.wax, heads))
-    left = pixel_norm(axial_attention_height(left, weights.hax, heads))
-    right = pixel_norm(axial_attention_height(right, weights.hax, heads))
-    return left, right
+def _axial_image(f: np.ndarray, weights: PathWeights, heads: int) -> np.ndarray:
+    f = pixel_norm(axial_attention_width(f, weights.wax, heads))
+    return pixel_norm(axial_attention_height(f, weights.hax, heads))
 
 
-def _cross_pass(
-    left: np.ndarray, right: np.ndarray, weights: PathWeights, heads: int
-):
+def _axial_pass(left: np.ndarray, right: np.ndarray, weights: PathWeights, heads: int):
+    return _both(_axial_image, (left, weights, heads), (right, weights, heads), left.size)
+
+
+def _cross_pass(left: np.ndarray, right: np.ndarray, weights: PathWeights, heads: int):
     mask = epipolar_mask(left.shape[2], right.shape[2])
     new_left, new_right = cross_attention(left, right, weights.cross, heads, mask)
     return pixel_norm(new_left), pixel_norm(new_right)
@@ -151,7 +148,10 @@ def path_fusion(
             f"channel mismatch: matching {mmp_feat.shape[0]} vs context {ctx_feat.shape[0]}"
         )
     c, h, w = mmp_feat.shape
-    up = bilinear_upsample(ctx_feat, h, w)
-    stacked = np.concatenate([mmp_feat, up], axis=0)
-    hidden = relu(conv2d(stacked, weights.conv1_kernel, weights.conv1_bias))
+    stacked = np.empty((2 * c, h, w), dtype=np.float32)
+    stacked[:c] = mmp_feat
+    bilinear_upsample(ctx_feat, h, w, out=stacked[c:])
+    hidden = conv2d(stacked, weights.conv1_kernel, weights.conv1_bias)
+    del stacked  # the second convolution reads only the rectified hidden map
+    np.maximum(hidden, np.float32(0), out=hidden)
     return conv2d(hidden, weights.conv2_kernel, weights.conv2_bias)

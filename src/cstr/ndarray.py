@@ -15,12 +15,12 @@ Fixed conventions, chosen once so that outputs are reproducible bit for bit:
   identical bits on a given platform regardless of caller threading.
 
 All functions here are pure: no in-place mutation of inputs, and no global
-state except one helper thread per process. Large calls split their
-independent items in two (conv2d its im2col bands, attention its lines): the
-calling thread computes the first part, the helper the second, each with the
-same numpy calls on the same rows as a one-thread run, so the bytes do not
-depend on the split. The helper starts on the first split, only where two
-CPUs are allowed; a fork child starts its own.
+state except one helper thread per process. The pipeline runs each stage
+once per image, and ``_both`` runs the two images' tasks at once: the left
+on the calling thread, the right on the helper. Each task runs whole on its
+thread and makes the numpy calls a one-thread run makes, so the bytes do not
+depend on which thread ran it. The helper starts on the first large task,
+only where two CPUs are allowed; a fork child starts its own.
 """
 
 from __future__ import annotations
@@ -105,22 +105,23 @@ def softmax_axis(t: np.ndarray, axis: int) -> np.ndarray:
     return shifted
 
 
-# Multiply-adds below which a call runs on one thread: handing half of it to
-# the helper costs about as much as a small call saves.
-_SPLIT_WORK = 16_000_000
+# Values one task reads below which both tasks run on the caller. With the
+# default config a 128x256 pair's stages read at least 32768 (the image);
+# the 8-channel test config's read at most 512, less than a handoff costs.
+_TASK_WORK = 16_384
 
-# Per-thread flag: split calls made here run whole on this thread. The helper
+# Per-thread flag: tasks handed over from here run on this thread. The helper
 # sets it for itself, so its work never waits on its own queue.
 _local = threading.local()
 
 
 class _Helper:
-    """One daemon thread that runs the second part of two-way splits, in the
-    order the calls hand them over."""
+    """One daemon thread that runs the second of two tasks, in the order the
+    callers hand them over."""
 
     def __init__(self):
         self._jobs = SimpleQueue()
-        threading.Thread(target=self._serve, name="cstr-split", daemon=True).start()
+        threading.Thread(target=self._serve, name="cstr-task", daemon=True).start()
 
     def _serve(self) -> None:
         _local.serial = True
@@ -129,39 +130,37 @@ class _Helper:
             self._run_one(*self._jobs.get())
 
     @staticmethod
-    def _run_one(claim: threading.Lock, part, done: threading.Event, errors: list) -> None:
+    def _run_one(claim: threading.Lock, task, args: tuple, done: threading.Event, outcome: list):
         if not claim.acquire(blocking=False):
-            return  # the caller ran the part itself
+            return  # the caller ran the task itself
         try:
-            part()
+            outcome.append((True, task(*args)))
         except BaseException as exc:  # handed to the caller, which re-raises it
-            errors.append(exc)
+            outcome.append((False, exc))
         finally:
             done.set()
 
-    def run(self, first, second) -> None:
-        """Run ``first()`` here and ``second()`` on the helper; return when both
-        have ended, and raise the first error of the two.
-
-        Whichever thread claims ``second`` first runs it: a helper that has
-        not started it by the time ``first`` ends (its CPU busy elsewhere)
-        leaves it to the caller.
-        """
-        claim, done, errors = threading.Lock(), threading.Event(), []
-        self._jobs.put((claim, second, done, errors))
+    def run(self, task, first: tuple, second: tuple) -> tuple:
+        """Return ``(task(*first), task(*second))``, the first run here and the
+        second on the helper, which leaves it to the caller if it has not
+        started it when the first ends; raise the first error of the two
+        once both have ended."""
+        claim, done, outcome = threading.Lock(), threading.Event(), []
+        self._jobs.put((claim, task, second, done, outcome))
         try:
-            first()
+            result = task(*first)
         except BaseException:
-            # the helper's part writes the caller's arrays: wait for it
+            # the helper's task may still read the caller's arrays: wait for it
             if not claim.acquire(blocking=False):
                 done.wait()
             raise
         if claim.acquire(blocking=False):
-            second()
-            return
+            return result, task(*second)
         done.wait()
-        if errors:
-            raise errors[0]
+        ok, value = outcome[0]
+        if not ok:
+            raise value
+        return result, value
 
 
 _helper: _Helper | None = None
@@ -185,9 +184,9 @@ def _two_cpus() -> bool:
         return (os.cpu_count() or 1) >= 2
 
 
-def _split_helper() -> _Helper | None:
+def _task_helper() -> _Helper | None:
     """The process's helper, started on first use; None where this thread may
-    not split (one CPU, or the helper itself)."""
+    not hand work over (one CPU, or the helper itself)."""
     global _helper
     if getattr(_local, "serial", False) or not _two_cpus():
         return None
@@ -199,7 +198,7 @@ def _split_helper() -> _Helper | None:
 
 @contextmanager
 def _one_thread():
-    """Run the split calls made on this thread inside the block whole."""
+    """Run the tasks ``_both`` is given on this thread inside the block."""
     before = getattr(_local, "serial", False)
     _local.serial = True
     try:
@@ -208,30 +207,26 @@ def _one_thread():
         _local.serial = before
 
 
-def _split_two_ways(count: int, work: int, prepare) -> None:
-    """Compute a call's ``count`` independent items on one thread or two.
+def _both(task, first: tuple, second: tuple, work: int) -> tuple:
+    """Return ``(task(*first), task(*second))``.
 
-    ``prepare(lo, hi)`` runs on the calling thread, allocates what items
-    lo..hi-1 need and returns a function that computes them. A call of at
-    least two items and ``_SPLIT_WORK`` multiply-adds, made where
-    ``_split_helper`` allows, gives items 0..count//2-1 to this thread and the
-    rest to the helper; any other call runs ``prepare(0, count)()`` here. The
-    parts must compute every item with the numpy calls a one-part run makes,
-    so that the bytes do not depend on the split.
+    ``work`` is the number of values one task reads. From ``_TASK_WORK`` on,
+    where ``_task_helper`` gives a helper, the second task runs there
+    (``_Helper.run``); each task runs in one-thread mode, so what it calls
+    makes the numpy calls of a one-thread run and the bytes do not depend on
+    the handoff. Otherwise both run here in turn.
     """
-    helper = _split_helper() if count >= 2 and work >= _SPLIT_WORK else None
+    helper = _task_helper() if work >= _TASK_WORK else None
     if helper is None:
-        prepare(0, count)()
-        return
-    half = count // 2
-    first, second = prepare(0, half), prepare(half, count)
-    helper.run(first, second)
+        return task(*first), task(*second)
+    with _one_thread():
+        return helper.run(task, first, second)
 
 
-# Byte budget of one band of conv2d's im2col columns. A split call holds two
-# bands at once; at 2 MiB they take what one 4 MiB band did, and they stay
-# below the 4 MiB from which numpy asks for huge pages.
-_IM2COL_BYTES = 2 << 20
+# Byte budget of one band of conv2d's im2col columns. Two image tasks hold a
+# band each at once, and each task's allocator keeps its own pages, so bands
+# are kept small: 1 MiB bands ran fusion's convolutions no slower than 2 MiB.
+_IM2COL_BYTES = 1 << 20
 # conv2d hands BLAS whole blocks of this many pixels: edge blocks and tiny
 # products take other kernels, whose rounding differs from the main one.
 _PIXEL_BLOCK = 16
@@ -258,10 +253,6 @@ def conv2d(
     to a small-matrix kernel that sums more than a few hundred taps in
     another order, so with few output channels over many taps (2 outputs
     from 2304 taps, say) the last bits can depend on the band size.
-
-    Bands are independent, so a large call hands whole bands to the helper
-    thread (``_split_two_ways``), each thread filling its own band buffer.
-    The band layout is the same either way.
     """
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError("conv2d expects (c,h,w) input and (o,c,kh,kw) kernel")
@@ -277,17 +268,7 @@ def conv2d(
         raise ValueError(f"stride must be >= 1, got {stride}")
 
     ph, pw = kh // 2, kw // 2
-    padded = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=np.float32)
-    padded[:, ph : ph + h, pw : pw + w] = x
     out_h, out_w = -(-h // stride), -(-w // stride)
-    # windows[c, ky, kx, y, x] = padded[c, y * stride + ky, x * stride + kx]
-    s_c, s_y, s_x = padded.strides
-    windows = np.ndarray(
-        (c_in, kh, kw, out_h, out_w),
-        dtype=np.float32,
-        buffer=padded,
-        strides=(s_c, s_y, s_x, stride * s_y, stride * s_x),
-    )
     k = c_in * kh * kw
     taps = kernel.reshape(c_out, k)
     out = np.empty((c_out, out_h, out_w), dtype=np.float32)
@@ -300,38 +281,41 @@ def conv2d(
         band -= band % step
     band = min(band, out_h)
     width = -(-band * out_w // _PIXEL_BLOCK) * _PIXEL_BLOCK
-    starts = range(0, out_h, band)
+    # whole rows cover the padded width, so the flat view never copies
+    grid = np.zeros((c_in, kh, kw, -(-width // out_w), out_w), dtype=np.float32)
+    cols = grid.reshape(k, -1)
     # some band's pixels do not fill whole blocks, so its product goes to a spill
-    spills = (band * out_w % _PIXEL_BLOCK or out_h % band * out_w % _PIXEL_BLOCK) > 0
-
-    def prepare(lo: int, hi: int):
-        # each part's band buffers, allocated on the calling thread; whole
-        # rows cover the padded width, so the flat view never copies
-        grid = np.zeros((c_in, kh, kw, -(-width // out_w), out_w), dtype=np.float32)
-        cols = grid.reshape(k, -1)
-        spill = np.empty((c_out, width), dtype=np.float32) if spills else None
-
-        def run():
-            for y0 in starts[lo:hi]:
-                rows = min(band, out_h - y0)
-                n = rows * out_w
-                m = -(-n // _PIXEL_BLOCK) * _PIXEL_BLOCK
-                grid[:, :, :, :rows] = windows[:, :, :, y0 : y0 + rows]
-                dest = flat[:, y0 * out_w : y0 * out_w + n]
-                target = spill[:, :m] if m > n else dest
-                if c_out == 1:
-                    # BLAS serves a one-row product with a threaded gemv whose
-                    # rounding depends on the thread count; einsum's own loop
-                    # keeps bytes fixed.
-                    np.einsum("ok,kn->on", taps, cols[:, :m], out=target)
-                else:
-                    np.matmul(taps, cols[:, :m], out=target)
-                if m > n:
-                    dest[...] = target[:, :n]
-
-        return run
-
-    _split_two_ways(len(starts), c_out * k * out_h * out_w, prepare)
+    spills = band * out_w % _PIXEL_BLOCK or out_h % band * out_w % _PIXEL_BLOCK
+    spill = np.empty((c_out, width), dtype=np.float32) if spills else None
+    # the zero-padded input rows of one band
+    padded = np.zeros((c_in, (band - 1) * stride + kh, w + 2 * pw), dtype=np.float32)
+    s_c, s_y, s_x = padded.strides
+    for y0 in range(0, out_h, band):
+        rows = min(band, out_h - y0)
+        n = rows * out_w
+        m = -(-n // _PIXEL_BLOCK) * _PIXEL_BLOCK
+        top, need = y0 * stride - ph, (rows - 1) * stride + kh
+        lo, hi = max(top, 0), min(top + need, h)
+        if lo > top or hi < top + need:
+            padded[:, :need] = 0  # rows above or below the input
+        padded[:, lo - top : hi - top, pw : pw + w] = x[:, lo:hi]
+        # windows[c, ky, kx, y, x] = padded[c, y * stride + ky, x * stride + kx]
+        grid[:, :, :, :rows] = np.ndarray(
+            (c_in, kh, kw, rows, out_w),
+            dtype=np.float32,
+            buffer=padded,
+            strides=(s_c, s_y, s_x, stride * s_y, stride * s_x),
+        )
+        dest = flat[:, y0 * out_w : y0 * out_w + n]
+        target = spill[:, :m] if m > n else dest
+        if c_out == 1:
+            # BLAS serves a one-row product with a threaded gemv whose rounding
+            # depends on the thread count; einsum's own loop keeps bytes fixed.
+            np.einsum("ok,kn->on", taps, cols[:, :m], out=target)
+        else:
+            np.matmul(taps, cols[:, :m], out=target)
+        if m > n:
+            dest[...] = target[:, :n]
     out += bias[:, None, None]
     return out
 
@@ -364,11 +348,14 @@ def _linear_coords(n_in: int, n_out: int):
     return lo, hi, frac
 
 
-def bilinear_upsample(t: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+def bilinear_upsample(
+    t: np.ndarray, out_h: int, out_w: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Bilinear upsampling of a (c, h, w) tensor to (c, out_h, out_w).
 
     Uses the half-pixel mapping; blending is written as v0 + f*(v1-v0) so a
-    constant image stays exactly constant.
+    constant image stays exactly constant. ``out``, if given, receives the
+    result.
     """
     if t.ndim != 3:
         raise ValueError("bilinear_upsample expects a (c, h, w) tensor")
@@ -381,8 +368,13 @@ def bilinear_upsample(t: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x0, x1, fx = _linear_coords(w, out_w)
     r0 = t[:, y0, :]
     rows = r0 + fy[None, :, None] * (t[:, y1, :] - r0)
-    c0 = rows[:, :, x0]
-    return c0 + fx[None, None, :] * (rows[:, :, x1] - c0)
+    # c0 + fx * (c1 - c0), with c0 gathered straight into the result
+    out = np.take(rows, x0, axis=2, out=out)
+    step = rows[:, :, x1]
+    step -= out
+    step *= fx
+    out += step
+    return out
 
 
 def linear_interp_1d(values: np.ndarray, x: float) -> float:

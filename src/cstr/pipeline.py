@@ -36,6 +36,11 @@ The backbone is a small stack of stride-2 rectified convolutions with shared
 left/right weights; inputs whose extents do not divide the scale factor must
 be padded first (``pad_pair_to_multiple`` replicates edges; ``forward`` pads
 and crops automatically).
+
+The two images meet only in cross-attention, so the backbone, the axial
+half and fusion run once per image as two tasks (``ndarray._both``), as do
+the context path's axial passes and the two directions of
+``cross_attention``. The rest stays on the calling thread (see README).
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from .matching import (
     refine_full_res,
     sinkhorn,
 )
-from .ndarray import Rng, conv2d, relu, seeded_normal
+from .ndarray import Rng, _both, conv2d, relu, seeded_normal
 
 __all__ = [
     "DEFAULT_SPAN",
@@ -251,6 +256,12 @@ def _luma(pair: ImagePair) -> ImagePair:
     return ImagePair(rgb_to_gray(pair.left), rgb_to_gray(pair.right))
 
 
+def _backbone_image(image: np.ndarray, stages) -> np.ndarray:
+    for kernel, bias in stages:
+        image = relu(conv2d(image, kernel, bias, stride=2))
+    return image
+
+
 def backbone_forward(
     pair: ImagePair, model: ModelDescription
 ) -> tuple[np.ndarray, np.ndarray, ContextState]:
@@ -269,32 +280,31 @@ def backbone_forward(
             "pad the pair first (pad_pair_to_multiple)"
         )
 
-    def run(feat: np.ndarray) -> np.ndarray:
-        for kernel, bias in model.backbone:
-            feat = relu(conv2d(feat, kernel, bias, stride=2))
-        return feat
-
     pair = _luma(pair)
-    feat_l = run(pair.left)
-    feat_r = run(pair.right)
+    stages = model.backbone
+    feat_l, feat_r = _both(
+        _backbone_image, (pair.left, stages), (pair.right, stages), pair.left.size
+    )
     ctx = make_context_features(
         feat_l, feat_r, config.cep_width_factor, config.cep_strategy
     )
     return feat_l, feat_r, ctx
 
 
+def _axial_image(f: np.ndarray, weights: PathWeights, heads: int) -> np.ndarray:
+    f = pixel_norm(axial_attention_width(f, weights.wax, heads))
+    return pixel_norm(axial_attention_height(f, weights.hax, heads))
+
+
 def _axial_half(
     left: np.ndarray, right: np.ndarray, weights: PathWeights, heads: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Width- then height-axial self-attention of one matching-path layer,
-    each sublayer re-normalized per pixel. ``context._axial_pass`` is the same
-    block on the context path; each stays in its own module because the
-    benchmark tracer tells the paths apart by the module a call goes through."""
-    left = pixel_norm(axial_attention_width(left, weights.wax, heads))
-    right = pixel_norm(axial_attention_width(right, weights.wax, heads))
-    left = pixel_norm(axial_attention_height(left, weights.hax, heads))
-    right = pixel_norm(axial_attention_height(right, weights.hax, heads))
-    return left, right
+    each sublayer re-normalized per pixel, one task per image.
+    ``context._axial_pass`` is the same block on the context path; each stays
+    in its own module because the benchmark tracer tells the paths apart by
+    the module a call goes through."""
+    return _both(_axial_image, (left, weights, heads), (right, weights, heads), left.size)
 
 
 def cstr_layer(
@@ -318,13 +328,14 @@ def cstr_layer(
     heads = config.heads
     left, right = _axial_half(mmp_left, mmp_right, weights.mmp, heads)
     mask = epipolar_mask(left.shape[2], right.shape[2])
-    left_x, right_x = cross_attention(left, right, weights.mmp.cross, heads, mask)
-    left = pixel_norm(left_x)
-    right = pixel_norm(right_x)
+    left, right = cross_attention(left, right, weights.mmp.cross, heads, mask)
+    left, right = pixel_norm(left), pixel_norm(right)
     ctx_state, payload = cep_step(ctx_state, layer, config.layers, weights.cep, heads)
     if payload is not None:
-        left = path_fusion(left, payload[0], weights.fusion)
-        right = path_fusion(right, payload[1], weights.fusion)
+        fusion = weights.fusion
+        left, right = _both(
+            path_fusion, (left, payload[0], fusion), (right, payload[1], fusion), left.size
+        )
     return left, right, ctx_state
 
 

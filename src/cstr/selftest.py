@@ -39,7 +39,7 @@ from .losses import GtBundle, smooth_l1, total_loss
 from .matching import DUSTBIN_COST, AssignmentVolume, DisparityMap, OcclusionMap
 from .matching import RefineWeights, epipolar_mask, refine_full_res, regress_raw, sinkhorn
 from .metrics import epe, occ_iou, three_px_error
-from .pipeline import REFINE_HIDDEN, ModelDescription, forward, init_weights
+from .pipeline import REFINE_HIDDEN, ModelDescription, cstr_layer, forward, init_weights
 from .ndarray import Rng, seeded_normal
 
 __all__ = [
@@ -369,28 +369,32 @@ def check_cross_attention_dense_oracle() -> tuple[bool, str]:
     )
 
 
-def check_two_way_split_matches_serial() -> tuple[bool, str]:
-    """Split-size cross attention (16 masked lines of 64 tokens, 128
-    channels) and conv2d (3 bands) give the bytes of one-thread runs."""
+def check_image_tasks_match_one_thread() -> tuple[bool, str]:
+    """A default-width M3 layer on 16x64 maps, large enough for its stages
+    to run as two image tasks, the scores of its output and two images'
+    3-band conv2d give the bytes of one-thread runs."""
+    config = RunConfig(layers=2)
+    model = ModelDescription(config, init_weights(config, seed=29))
     rng = Rng(29)
-    c, heads = 128, 4
-    weights = random_attention_weights(rng, c, heads, 64)
-    left = seeded_normal(rng, (c, 16, 64), 1.0)
-    right = seeded_normal(rng, (c, 16, 64), 1.0)
-    mask = epipolar_mask(64, 64)
-    x = seeded_normal(rng, (64, 32, 64), 1.0)
+    left, right = seeded_normal(rng, (2, 128, 16, 64), 1.0)
+    ctx = make_context_features(left, right, config.cep_width_factor)
+    images = seeded_normal(rng, (2, 64, 32, 64), 1.0)
     kernel = seeded_normal(rng, (16, 64, 3, 3), 1.0 / 24)
     bias = seeded_normal(rng, (16,), 1.0)
+    cross, mask = model.layers[1].mmp.cross, epipolar_mask(64, 64)
 
     def run() -> list[bytes]:
-        pair = cross_attention(left, right, weights, heads, mask)
-        return [t.tobytes() for t in (*pair, nd.conv2d(x, kernel, bias))]
+        out_l, out_r, state = cstr_layer(left, right, ctx, 0, model)
+        scores = cross_scores(out_l, out_r, cross, config.heads, mask).logits
+        convs = nd._both(nd.conv2d, *((x, kernel, bias) for x in images), images[0].size)
+        outputs = (out_l, out_r, state.left_ctx, state.right_ctx, scores, *convs)
+        return [t.tobytes() for t in outputs]
 
-    split = run()
+    threaded = run()
     with nd._one_thread():
         serial = run()
-    ran = "split" if nd._two_cpus() else "one CPU, so no split ran"
-    return split == serial, f"3 outputs, {ran}"
+    ran = "two threads" if nd._two_cpus() else "one CPU, so every task ran on one thread"
+    return threaded == serial, f"{len(serial)} outputs, {ran}"
 
 
 def check_position_encoding_structure() -> tuple[bool, str]:
@@ -771,7 +775,7 @@ CHECKS = [
     ("axial_width_dense_oracle", check_axial_width_dense_oracle),
     ("axial_height_dense_oracle", check_axial_height_dense_oracle),
     ("cross_attention_dense_oracle", check_cross_attention_dense_oracle),
-    ("two_way_split_matches_serial", check_two_way_split_matches_serial),
+    ("image_tasks_match_one_thread", check_image_tasks_match_one_thread),
     ("position_encoding_structure", check_position_encoding_structure),
     ("sinkhorn_row_marginals", check_sinkhorn_row_marginals),
     ("sinkhorn_masked_cells", check_sinkhorn_masked_cells),

@@ -23,23 +23,23 @@ def tiny_pair() -> ImagePair:
 
 @pytest.fixture()
 def two_way(monkeypatch):
-    """``two_way(True)`` forces ndarray's two-way split on for every call of
-    two or more items (threshold 0, two CPUs); ``two_way(False)`` forces it
-    off (no second CPU, so no helper). Each call returns a list that counts
-    the splits run from then on."""
+    """``two_way(True)`` makes every ``ndarray._both`` call hand its second task
+    to the helper thread (threshold 0, two CPUs); ``two_way(False)`` runs both
+    tasks on the caller (no second CPU, so no helper). Each call returns a
+    list that counts the handoffs from then on."""
     runs = []
     run = ndarray._Helper.run
-    threshold = ndarray._SPLIT_WORK
+    threshold = ndarray._TASK_WORK
 
-    def counted(self, first, second):
+    def counted(self, *args):
         runs.append(1)
-        run(self, first, second)
+        return run(self, *args)
 
     monkeypatch.setattr(ndarray._Helper, "run", counted)
 
     def force(on: bool) -> list:
         monkeypatch.setattr(ndarray, "_two_cpus", lambda: on)
-        monkeypatch.setattr(ndarray, "_SPLIT_WORK", 0 if on else threshold)
+        monkeypatch.setattr(ndarray, "_TASK_WORK", 0 if on else threshold)
         runs.clear()
         return runs
 

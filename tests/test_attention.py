@@ -402,7 +402,7 @@ def test_pixel_norm_zero_mean_unit_variance():
     np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-4)
 
 
-# --- two-way line split ---
+# --- pieces of lines and per-image tasks ---
 
 
 def split_case(lines, length, c=16, heads=2, seed=0):
@@ -416,35 +416,49 @@ def split_case(lines, length, c=16, heads=2, seed=0):
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("length", [8, 16, 24, 64])
 @pytest.mark.parametrize("lines", [1, 2, 3, 5, 32])
-def test_multihead_split_bytes_equal_serial(two_way, lines, length, masked):
+def test_multihead_split_bytes_equal_serial(two_way, monkeypatch, lines, length, masked):
+    # pieces of 1, 2 and 3 lines, on the caller and as the helper's task,
+    # give the bytes of one piece of all lines on one thread
     x_q, x_kv, w, heads = split_case(lines, length, seed=length)
     mask = epipolar_mask(length, length) if masked else None
-    two_way(False)
-    serial = attention._multihead(x_q, x_kv, w, heads, mask)
+    args = (x_q, x_kv, w, heads, mask)
+    monkeypatch.setattr(attention, "_PIECE_BYTES", x_q.nbytes)
+    whole = attention._multihead(*args).tobytes()
     runs = two_way(True)
-    split = attention._multihead(x_q, x_kv, w, heads, mask)
-    assert len(runs) == (lines >= 2)
-    assert split.tobytes() == serial.tobytes()
+    for piece in (1, 2, 3):
+        monkeypatch.setattr(attention, "_PIECE_BYTES", piece * x_q[0].nbytes)
+        tasks = ndarray._both(attention._multihead, args, args, 0)
+        assert [t.tobytes() for t in tasks] == [whole, whole]
+    assert len(runs) == 3
 
 
-# 16 lines of 64 tokens at 128 channels reach the split threshold unforced
+# 16 lines of 64 tokens at 128 channels reach the task threshold unforced
 SPLIT_SIZE = (16, 64, 128, 4)
 
 
+def cross_case(lines, length, c, heads):
+    w = random_attention_weights(Rng(120), c, heads, span=64)
+    rng = Rng(121)
+    left = seeded_normal(rng, (c, lines, length), 1.0)
+    right = seeded_normal(rng, (c, lines, length), 1.0)
+    return left, right, w, heads
+
+
 def test_concurrent_callers_get_the_serial_bytes(two_way, monkeypatch):
-    x_q, x_kv, w, heads = split_case(*SPLIT_SIZE)
+    left, right, w, heads = cross_case(*SPLIT_SIZE)
     mask = epipolar_mask(SPLIT_SIZE[1], SPLIT_SIZE[1])
-    threshold = ndarray._SPLIT_WORK
+    threshold = ndarray._TASK_WORK
+    assert left.size >= threshold
     two_way(False)
-    want = attention._multihead(x_q, x_kv, w, heads, mask).tobytes()
+    want = [t.tobytes() for t in cross_attention(left, right, w, heads, mask)]
     runs = two_way(True)
-    # at the real threshold the calls split on their size alone
-    monkeypatch.setattr(ndarray, "_SPLIT_WORK", threshold)
+    # at the real threshold the calls hand over tasks on their size alone
+    monkeypatch.setattr(ndarray, "_TASK_WORK", threshold)
     got = []
 
     def caller():
         for _ in range(3):
-            got.append(attention._multihead(x_q, x_kv, w, heads, mask).tobytes())
+            got.append([t.tobytes() for t in cross_attention(left, right, w, heads, mask)])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -461,19 +475,31 @@ def test_concurrent_callers_get_the_serial_bytes(two_way, monkeypatch):
     assert len(runs) == 12
 
 
-def _split_in_fork_child(x_q, x_kv, w, heads, want):
-    got = attention._multihead(x_q, x_kv, w, heads).tobytes()
-    sys.exit(0 if got == want else 1)
+def _names_in_fork_child(left, right, w, heads, want):
+    ran = threading.Event()
+
+    def task(part):
+        # the first task waits for the second, so only a helper can run it
+        if part == "first":
+            ran.wait(timeout=30)
+        else:
+            ran.set()
+        return threading.current_thread().name
+
+    fresh = ndarray._helper is None
+    names = ndarray._both(task, ("first",), ("second",), 0)
+    got = [t.tobytes() for t in cross_attention(left, right, w, heads)]
+    sys.exit(0 if fresh and names[1] == "cstr-task" and got == want else 1)
 
 
 @pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks")
 def test_fork_child_after_a_split_runs_its_own_split(two_way):
     runs = two_way(True)
-    x_q, x_kv, w, heads = split_case(4, 16)
-    want = attention._multihead(x_q, x_kv, w, heads).tobytes()
+    left, right, w, heads = cross_case(4, 16, 16, 2)
+    want = [t.tobytes() for t in cross_attention(left, right, w, heads)]
     assert runs  # the parent's helper is running
     child = multiprocessing.get_context("fork").Process(
-        target=_split_in_fork_child, args=(x_q, x_kv, w, heads, want)
+        target=_names_in_fork_child, args=(left, right, w, heads, want)
     )
     child.start()
     child.join(timeout=60)
@@ -487,8 +513,14 @@ def test_fork_child_after_a_split_runs_its_own_split(two_way):
 
 @pytest.mark.parametrize("split", [False, True])
 def test_bad_mask_raises_the_serial_message_in_the_caller(two_way, split):
+    # both directions' masks are checked before either task starts
     runs = two_way(split)
-    x_q, x_kv, w, heads = split_case(4, 8)
+    left, right, w, heads = cross_case(4, 8, 16, 2)
     with pytest.raises(ValueError, match=r"^mask must be \(8, 8\), got \(8, 7\)$"):
-        attention._multihead(x_q, x_kv, w, heads, np.zeros((8, 7), dtype=F32))
+        cross_attention(left, right, w, heads, np.zeros((8, 7), dtype=F32))
+    # every query row keeps a key, but the right-query rows (columns) do not
+    mask = np.zeros((8, 8), dtype=F32)
+    mask[:, 0] = -np.inf
+    with pytest.raises(ValueError, match="^mask forbids every key of some query row$"):
+        cross_attention(left, right, w, heads, mask)
     assert runs == []

@@ -178,19 +178,21 @@ def test_conv2d_fusion_sized_peak_memory():
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("bands", [1, 2, 3, 4, 5])
 def test_conv2d_split_bytes_equal_serial(two_way, monkeypatch, bands, stride, c_out):
-    # 20x32 outputs at stride 1, 10x16 at stride 2; whole-block rows, so the
-    # budget alone sets the band height: ceil(out_h / bands) rows
+    # two images' convolutions as two tasks, one on the helper thread, give
+    # the bytes of one-thread runs. 20x32 outputs at stride 1, 10x16 at
+    # stride 2; whole-block rows, so the budget alone sets the band height:
+    # ceil(out_h / bands) rows
     x, kernel, bias = _conv_case(4, 20, 32, c_out)
+    x2 = x[:, ::-1].copy()
     out_h, out_w = 20 // stride, 32 // stride
     band = -(-out_h // bands)
     assert -(-out_h // band) == bands
     monkeypatch.setattr(ndarray, "_IM2COL_BYTES", 4 * 36 * out_w * band)
-    two_way(False)
-    serial = conv2d(x, kernel, bias, stride=stride)
+    serial = [conv2d(t, kernel, bias, stride=stride).tobytes() for t in (x, x2)]
     runs = two_way(True)
-    split = conv2d(x, kernel, bias, stride=stride)
-    assert len(runs) == (bands >= 2)
-    assert split.tobytes() == serial.tobytes()
+    tasks = ndarray._both(conv2d, (x, kernel, bias, stride), (x2, kernel, bias, stride), 0)
+    assert len(runs) == 1
+    assert [t.tobytes() for t in tasks] == serial
 
 
 def raise_error(message):
@@ -199,61 +201,90 @@ def raise_error(message):
 
 def test_split_errors_reach_the_caller_after_both_parts_end(two_way):
     two_way(True)
-    helper = ndarray._split_helper()
     started, finished = threading.Event(), []
 
-    def slow():
+    def slow_helper(part):
+        if part == "caller":
+            assert started.wait(timeout=60)
+            raise_error("caller part")
         started.set()
         time.sleep(0.05)
         finished.append(True)
 
-    def fail_once_started():
-        assert started.wait(timeout=60)
-        raise_error("caller part")
-
     with pytest.raises(RuntimeError, match="caller part"):
-        helper.run(fail_once_started, slow)
+        ndarray._both(slow_helper, ("caller",), ("helper",), 0)
     assert finished == [True]
     started.clear()
+
+    def failing_helper(part):
+        if part == "caller":
+            return started.wait(timeout=60)
+        started.set()
+        raise_error("helper part")
+
     with pytest.raises(RuntimeError, match="helper part"):
-        helper.run(lambda: started.wait(timeout=60), lambda: (started.set(), raise_error("helper part")))
+        ndarray._both(failing_helper, ("caller",), ("helper",), 0)
+
+
+def _thread_name(_):
+    return threading.current_thread().name
 
 
 def test_caller_runs_a_second_part_the_helper_has_not_started(two_way):
-    two_way(True)
-    helper = ndarray._split_helper()
-    busy, release, ran = threading.Event(), threading.Event(), []
+    runs = two_way(True)
+    busy, release = threading.Event(), threading.Event()
 
-    def block():
-        busy.set()
-        release.wait(timeout=60)
+    def block(part):
+        if part == "first":
+            busy.wait(timeout=60)
+        else:
+            busy.set()
+            release.wait(timeout=60)
 
-    # the helper is busy with a part of another call until the release
-    blocker = threading.Thread(target=helper.run, args=(lambda: busy.wait(timeout=60), block))
+    # the helper is busy with a task of another call until the release
+    blocker = threading.Thread(target=ndarray._both, args=(block, ("first",), ("second",), 0))
     blocker.start()
     try:
-        helper.run(lambda: None, lambda: ran.append(threading.current_thread().name))
+        assert busy.wait(timeout=60)
+        names = ndarray._both(_thread_name, (0,), (1,), 0)
     finally:
         release.set()
         blocker.join(timeout=60)
     assert not blocker.is_alive()
-    assert ran == [threading.current_thread().name]
+    assert names == (threading.current_thread().name,) * 2
+    assert len(runs) == 2
 
 
 def test_work_on_the_helper_never_splits_again(two_way):
-    two_way(True)
-    helper = ndarray._split_helper()
-    seen, ran = [], threading.Event()
+    runs = two_way(True)
+    helper = ndarray._task_helper()
+    ran = threading.Event()
 
-    def nested():
-        seen.append((threading.current_thread().name, ndarray._split_helper()))
-        ran.set()
+    def nested(part):
+        if part == "first":
+            ran.wait(timeout=60)
+        else:
+            ran.set()
+        # a task's own tasks run whole on its thread
+        names = ndarray._both(_thread_name, (0,), (1,), 0)
+        return threading.current_thread().name, names, ndarray._task_helper()
 
-    helper.run(lambda: ran.wait(timeout=60), nested)
-    assert seen == [("cstr-split", None)]
+    first, second = ndarray._both(nested, ("first",), ("second",), 0)
+    here = threading.current_thread().name
+    assert first == (here, (here, here), None)
+    assert second == ("cstr-task", ("cstr-task", "cstr-task"), None)
+    assert len(runs) == 1
     with ndarray._one_thread():
-        assert ndarray._split_helper() is None
-    assert ndarray._split_helper() is helper
+        assert ndarray._task_helper() is None
+    assert ndarray._task_helper() is helper
+
+
+def test_small_tasks_run_on_the_caller_without_the_helper(two_way, monkeypatch):
+    runs = two_way(True)
+    monkeypatch.setattr(ndarray, "_TASK_WORK", 100)
+    here = threading.current_thread().name
+    assert ndarray._both(_thread_name, (0,), (1,), 99) == (here, here)
+    assert runs == []
 
 
 # --- pooling ---

@@ -465,6 +465,54 @@ def test_threaded_shape_forward_digest(name):
     assert digest == THREADED_DIGESTS[name]
 
 
+def test_one_cpu_process_reproduces_the_default_digest():
+    # a fresh process allowed one CPU before cstr loads starts no helper
+    # thread and gives the frozen default digest
+    import os
+    import subprocess
+    import sys
+
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity call on this platform")
+    script = (
+        "import os\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "import hashlib, numpy as np\n"
+        "from cstr import ImagePair, ModelDescription, Rng, RunConfig, init_weights, forward\n"
+        "from cstr import ndarray\n"
+        "config = RunConfig()\n"
+        "model = ModelDescription(config, init_weights(config, seed=0))\n"
+        "rng = Rng(0)\n"
+        "pair = ImagePair(rng.generator.random((1, 128, 256), dtype=np.float32),\n"
+        "                 rng.generator.random((1, 128, 256), dtype=np.float32))\n"
+        "disp, occ, _ = forward(pair, model)\n"
+        "print(hashlib.sha256(disp.values.tobytes() + occ.probs.tobytes()).hexdigest())\n"
+        "print(len(os.sched_getaffinity(0)), ndarray._helper is None)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [THREADED_DIGESTS["default_m3"], "1", "True"]
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("strategy", ["M1", "M2", "M3"])
+def test_forward_bytes_independent_of_the_image_tasks(two_way, strategy, layers):
+    # threshold 0, so every stage of these tiny shapes runs as two tasks; the
+    # 18x34 pair is padded to 20x36
+    config = RunConfig(layers=layers, channels=8, heads=2, cep_strategy=strategy)
+    model = tiny_model(seed=70 + layers, config=config)
+    pair = random_pair(seed=71, shape=(1, 18, 34))
+    outputs = []
+    for on in (False, True):
+        runs = two_way(on)
+        disp, occ, _ = forward(pair, model)
+        outputs.append(disp.values.tobytes() + occ.probs.tobytes())
+        assert bool(runs) == on
+    assert outputs[0] == outputs[1]
+
+
 def test_default_forward_bytes_independent_of_the_two_way_split(two_way):
     config = RunConfig()
     model = ModelDescription(config, init_weights(config, seed=0))
@@ -552,7 +600,7 @@ LAST_LAYER_DEAD = {
 DEAD_TENSORS = {
     "M1": LAST_LAYER_DEAD,
     # M2 emits its only context payload at the last layer, so its whole
-    # context path is dead; which M2 is meant is open (ROADMAP item 2).
+    # context path is dead; which M2 is meant is open (ROADMAP item 1).
     "M2": LAST_LAYER_DEAD
     | {n for n in weight_spec(LIVENESS) if n.startswith("fusion") or ".cep." in n},
     "M3": LAST_LAYER_DEAD,

@@ -116,16 +116,19 @@ def skip_position_tail(monkeypatch):
             "cross_attention_dense_oracle"]
 
 
-def shift_line_split(monkeypatch):
-    # the helper's part starts one line (or band) late: that one is never computed
-    split = ndarray._split_two_ways
+def give_helper_the_first_image(monkeypatch):
+    # the task handed to the helper gets the first task's arguments, so one
+    # image's result comes back for both
+    both = ndarray._both
 
-    def shifted(count, work, prepare):
-        split(count, work, lambda lo, hi: prepare(lo + (lo > 0), hi))
+    def first_twice(task, first, second, work):
+        if work >= ndarray._TASK_WORK and ndarray._task_helper() is not None:
+            second = first
+        return both(task, first, second, work)
 
-    patch_everywhere(monkeypatch, split, shifted)
+    patch_everywhere(monkeypatch, both, first_twice)
     monkeypatch.setattr(ndarray, "_two_cpus", lambda: True)
-    return ["two_way_split_matches_serial"]
+    return ["image_tasks_match_one_thread"]
 
 
 # each mutation patches the package and returns the checks it must fail
@@ -133,7 +136,8 @@ def shift_line_split(monkeypatch):
     "mutate",
     [break_softmax, flip_mask, drop_sinkhorn_sweep, narrow_regression_window,
      regress_from_line_zero, scale_conv2d, scale_pixel_norm, shift_bilinear_upsample,
-     halve_avgpool_width, scale_cross_scores, skip_position_tail, shift_line_split],
+     halve_avgpool_width, scale_cross_scores, skip_position_tail,
+     give_helper_the_first_image],
     ids=lambda mutate: mutate.__name__,
 )
 def test_mutation_fails_named_checks(monkeypatch, mutate):
