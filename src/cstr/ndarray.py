@@ -15,12 +15,13 @@ Fixed conventions, chosen once so that outputs are reproducible bit for bit:
   identical bits on a given platform regardless of caller threading.
 
 All functions here are pure: no in-place mutation of inputs, and no global
-state except one helper thread per process. The pipeline runs each stage
-once per image, and ``_both`` runs the two images' tasks at once: the left
-on the calling thread, the right on the helper. Each task runs whole on its
-thread and makes the numpy calls a one-thread run makes, so the bytes do not
-depend on which thread ran it. The helper starts on the first large task,
-only where two CPUs are allowed; a fork child starts its own.
+state except one helper thread per process. A pipeline stage that runs once
+per image hands both runs to ``_both``, which runs them at once as two
+tasks: the left on the calling thread, the right on the helper. Each task
+runs whole on its thread and makes the numpy calls a one-thread run makes,
+so the bytes do not depend on which thread ran it. The helper starts on the
+first large task, only where two CPUs are allowed; a fork child starts its
+own.
 """
 
 from __future__ import annotations
@@ -224,8 +225,8 @@ def _both(task, first: tuple, second: tuple, work: int) -> tuple:
 
 
 # Byte budget of one band of conv2d's im2col columns. Two image tasks hold a
-# band each at once, and each task's allocator keeps its own pages, so bands
-# are kept small: 1 MiB bands ran fusion's convolutions no slower than 2 MiB.
+# band each at once, and the helper's malloc arena keeps its high-water mark,
+# so bands are small: 1 MiB bands ran fusion's convolutions no slower.
 _IM2COL_BYTES = 1 << 20
 # conv2d hands BLAS whole blocks of this many pixels: edge blocks and tiny
 # products take other kernels, whose rounding differs from the main one.
