@@ -28,7 +28,7 @@ from cstr import (
     weight_spec,
 )
 import cstr.pipeline
-from cstr.pipeline import _axial_half, _line_plans
+from cstr.pipeline import DEFAULT_SPAN, _axial_half, _line_plans
 from cstr.matching import regress_raw
 from cstr.selftest import per_line_cross_scores
 
@@ -443,23 +443,28 @@ def test_default_forward_bytes_independent_of_blas_threads():
     assert digests[0] == digests[1]
 
 
-# Shapes whose stages run on two threads, frozen before the per-image tasks
-# replaced the per-call split: the default M3 config on a 128x256 pair, and
-# M1 with 3 layers on a 68x132 pair that forward pads to 72x136.
+# Shapes whose stages run on two threads, as (config, span, pair seed, pair
+# shape). The first two were frozen before the per-image tasks replaced the
+# per-call split: the default M3 config on a 128x256 pair, and M1 with 3
+# layers on a 68x132 pair that forward pads to 72x136. The third, M2 with
+# span 128 on a 64x512 pair, runs 128-token lines; it was frozen before the
+# projections became one 2-D GEMM per piece.
 THREADED_SHAPES = {
-    "default_m3": (RunConfig(), 0, (1, 128, 256)),
-    "m1_padded": (RunConfig(layers=3, cep_strategy="M1"), 7, (1, 68, 132)),
+    "default_m3": (RunConfig(), DEFAULT_SPAN, 0, (1, 128, 256)),
+    "m1_padded": (RunConfig(layers=3, cep_strategy="M1"), DEFAULT_SPAN, 7, (1, 68, 132)),
+    "wide_m2": (RunConfig(cep_strategy="M2"), 128, 5, (1, 64, 512)),
 }
 THREADED_DIGESTS = {
     "default_m3": "7c7c692bd422ebd1bc17d861ff1c266489aec771c86bb041d6a4ca975aa4fb16",
     "m1_padded": "48762553296992a68ec8408a668ae482ea6fa9873ee01164ccb6da6f09debb9a",
+    "wide_m2": "c80ea307835a73f9d53b19073fcebeda4cd358d1a5b8555ab5230a6a945d0e2f",
 }
 
 
 @pytest.mark.parametrize("name", list(THREADED_SHAPES))
 def test_threaded_shape_forward_digest(name):
-    config, seed, shape = THREADED_SHAPES[name]
-    model = ModelDescription(config, init_weights(config, seed=0))
+    config, span, seed, shape = THREADED_SHAPES[name]
+    model = ModelDescription(config, init_weights(config, span=span, seed=0))
     disp, occ, _ = forward(random_pair(seed=seed, shape=shape), model)
     digest = hashlib.sha256(disp.values.tobytes() + occ.probs.tobytes()).hexdigest()
     assert digest == THREADED_DIGESTS[name]
