@@ -54,21 +54,30 @@ Logits are built in one loop, ``_logits_by_head``: the feature updates
 softmax each head's logits, and cross_scores averages them into the matching
 scores, the only scores the module returns.
 
-Lines never mix: every product is batched over lines, which numpy runs as
+Lines never mix. The projections are one 2-D GEMM over all tokens of a
+piece of lines, in which each token's row gets the bytes of its own line's
+product (tests pin this for 1-32 lines of 8-128 tokens at 128 and 512
+channels). The other products are batched over lines, which numpy runs as
 one GEMM per line, and every softmax reduction runs along one row. A call
 over some of the lines therefore gives each of them the bytes it gets in a
-call over all of them. The feature updates use this to run their lines in
-pieces of at most ``_PIECE_BYTES`` of queries. ``cross_attention`` runs its
-two directions as two tasks (``ndarray._both``) once the checks of both
-have run on the calling thread; the bytes do not depend on the thread.
+call over all of them. The feature updates and ``cross_scores`` use this
+to run their lines in pieces of at most ``_PIECE_BYTES`` of queries, and
+build what does not depend on the lines once per call: each head's window
+products, their transposes and block views, and the buffers the position
+products go to. ``cross_attention`` runs its two directions as two tasks
+(``ndarray._both``) once the checks of both have run on the calling
+thread, and ``cross_scores`` the two halves of its lines; the bytes do not
+depend on the thread.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import ndarray
 from .ndarray import _PIXEL_BLOCK, _both, softmax_axis
 
 __all__ = [
@@ -154,9 +163,10 @@ class ScoreMatrix:
 # Rows per position-term product: OpenBLAS's sgemm kernel width, the block
 # conv2d pads to. 8-row blocks change the bytes; 32-row ones read more columns.
 _BLOCK = _PIXEL_BLOCK
-# Bytes of queries per piece of a feature update's lines: a piece's
-# projections and one head's logits then stay in cache. 256 KB pieces ran
-# _multihead 13-20% faster than 512 KB ones on one thread, and hold less.
+# Bytes of queries per piece of lines: a piece's projections and one head's
+# logits then stay in cache. 256 KB pieces ran _multihead 13-20% faster than
+# 512 KB ones on one thread, and hold less; 1 MB pieces ran it 1.65-1.69x
+# faster on two threads than on one, but 20-30% slower on one.
 _PIECE_BYTES = 256 << 10
 
 
@@ -219,21 +229,24 @@ def _diagonals(
     )
 
 
-def _add_position_term(
-    logits: np.ndarray, rows: np.ndarray, u: np.ndarray, by_key: bool
-) -> None:
-    """Add ``rows @ u.T``, read on its diagonals, to the (lines, n, m) logits.
+def _position_operand(
+    u: np.ndarray, n: int, m: int, by_key: bool, scratch: np.ndarray | None, lines: int
+) -> np.ndarray | tuple:
+    """What the position term of n queries over m keys needs besides the
+    rows, for up to ``lines`` lines. None of it depends on the lines'
+    values, so a call builds it once for all its pieces.
 
-    ``rows`` are the (lines, n, ch) queries, or the (lines, m, ch) keys when
-    ``by_key`` is set; ``u`` is the (n+m-1, ch) window product. Lines longer
-    than one block are multiplied in blocks of _BLOCK rows, each against
-    only the columns it reads.
+    ``u`` is the (n+m-1, ch) window product. Rows of at most one block
+    multiply ``u.T`` whole, into a new product, and get just ``u.T``.
+    Longer rows get ``(windows, out, tail, diagonals)``: each full block
+    multiplies its overlapping window (``windows``, zero-copy views of a
+    C-contiguous transpose of u) and a ragged last block its columns
+    (``tail``, or None), into views of ``scratch`` (``out``, and the view
+    ``diagonals`` reads).
     """
-    lines, n, m = logits.shape
-    count = rows.shape[1]
+    count = m if by_key else n
     if count <= _BLOCK:
-        logits += _diagonals(rows @ u.T, n, m, by_key, n + m - 1)
-        return
+        return u.T
     ut = np.ascontiguousarray(u.T)
     blocks, tail = divmod(count, _BLOCK)
     done = blocks * _BLOCK
@@ -242,35 +255,90 @@ def _add_position_term(
     # (queries); at this pitch no block overwrites a column another reads
     first, step = (0, _BLOCK) if by_key else (n - _BLOCK, -_BLOCK)
     pitch = width + _BLOCK
-    full = np.empty((lines, (count - 1) * pitch + n + m - 1), dtype=np.float32)
-    line = full.shape[1]
+    line = (count - 1) * pitch + n + m - 1
+    full = scratch[: lines * line].reshape(lines, line)
     windows = _strided(ut, (blocks, len(ut), width), first, (step, ut.shape[1], 1))
     out = _strided(
         full, (lines, blocks, _BLOCK, width), first, (line, _BLOCK * pitch + step, pitch, 1)
     )
-    np.matmul(rows[:, :done].reshape(lines, blocks, _BLOCK, -1), windows, out=out)
     if tail:
         start = done if by_key else 0
         cols = width - _BLOCK + tail
-        out = _strided(full, (lines, tail, cols), done * pitch + start, (line, pitch, 1))
-        np.matmul(rows[:, done:], ut[:, start : start + cols], out=out)
-    logits += _diagonals(full, n, m, by_key, pitch)
+        tail = (
+            ut[:, start : start + cols],
+            _strided(full, (lines, tail, cols), done * pitch + start, (line, pitch, 1)),
+        )
+    return windows, out, tail or None, _diagonals(full, n, m, by_key, pitch)
+
+
+def _scratch_size(n: int, m: int) -> int:
+    # floats per line of the larger blocked position-term product
+    return max(
+        (count - 1) * (n + m - count + 2 * _BLOCK - 1) + n + m - 1
+        for count in (n, m)
+        if count > _BLOCK
+    )
+
+
+def _add_position_term(
+    logits: np.ndarray, rows: np.ndarray, operand: np.ndarray | tuple, by_key: bool
+) -> None:
+    """Add ``rows @ u.T``, read on its diagonals, to the (lines, n, m) logits.
+
+    ``rows`` are the (lines, n, ch) queries, or the (lines, m, ch) keys when
+    ``by_key`` is set; ``operand`` is the ``_position_operand`` of the
+    window product u. Lines longer than one block are multiplied in blocks
+    of _BLOCK rows, each against only the columns it reads.
+    """
+    lines, count, ch = rows.shape
+    if count <= _BLOCK:
+        n, m = logits.shape[1:]
+        logits += _diagonals(rows @ operand, n, m, by_key, n + m - 1)
+        return
+    windows, out, tail, diagonals = operand
+    done = count - count % _BLOCK
+    np.matmul(rows[:, :done].reshape(lines, -1, _BLOCK, ch), windows, out=out[:lines])
+    if tail is not None:
+        np.matmul(rows[:, done:], tail[0], out=tail[1][:lines])
+    logits += diagonals[:lines]
+
+
+def _head_operands(
+    table: np.ndarray, weights: AttentionWeights, ch: int, n: int, m: int, lines: int
+) -> list[tuple]:
+    """Per head of ``ch`` channels, the position operands of its query rows
+    (window product ``table @ Wk[hs, hs]``) and of its key rows (``table @
+    Wq[hs, hs]``) for up to ``lines`` lines. The blocked products of all of
+    them go to one scratch buffer, so each term is added before the next
+    runs."""
+    scratch = None
+    if max(n, m) > _BLOCK:
+        scratch = np.empty(lines * _scratch_size(n, m), dtype=np.float32)
+    operands = []
+    for lo in range(0, weights.channels, ch):
+        hs = slice(lo, lo + ch)
+        operands.append((
+            _position_operand(table @ weights.Wk[hs, hs], n, m, False, scratch, lines),
+            _position_operand(table @ weights.Wq[hs, hs], n, m, True, scratch, lines),
+        ))
+    return operands
 
 
 def _head_logits(
     q: np.ndarray,
     k: np.ndarray,
-    table: np.ndarray,
-    weights: AttentionWeights,
-    hs: slice,
+    operands: tuple,
+    logits: np.ndarray,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scaled, masked (lines, n, m) logits of one head from its (lines, n|m, ch)
-    query/key slices and the offset window ``table``."""
-    logits = q @ k.transpose(0, 2, 1)
-    _add_position_term(logits, q, table @ weights.Wk[hs, hs], by_key=False)
-    _add_position_term(logits, k, table @ weights.Wq[hs, hs], by_key=True)
-    logits /= np.float32(np.sqrt(q.shape[2]))
+    query/key slices and its pair of ``_head_operands``, written to and
+    returned as ``logits``."""
+    by_query, by_key = operands
+    np.matmul(q, k.transpose(0, 2, 1), out=logits)
+    _add_position_term(logits, q, by_query, by_key=False)
+    _add_position_term(logits, k, by_key, by_key=True)
+    logits /= np.float32(math.sqrt(q.shape[2]))
     if mask is not None:
         logits += mask
     return logits
@@ -297,11 +365,13 @@ def relative_logits(
     heads = c // ch
     if not 0 <= head < heads:
         raise ValueError(f"head {head} out of range for {heads} heads")
-    table = _window(weights, x.shape[0], xk.shape[0])
+    n, m = x.shape[0], xk.shape[0]
+    table = _window(weights, n, m)
     hs = slice(head * ch, (head + 1) * ch)
     q = (x @ weights.Wq)[None, :, hs]
     k = (xk @ weights.Wk)[None, :, hs]
-    return _head_logits(q, k, table, weights, hs)[0]
+    operands = _head_operands(table, weights, ch, n, m, 1)[head]
+    return _head_logits(q, k, operands, np.empty((1, n, m), dtype=np.float32))[0]
 
 
 def _checked_window(
@@ -318,17 +388,30 @@ def _checked_window(
 def _logits_by_head(
     q_all: np.ndarray,
     k_all: np.ndarray,
-    table: np.ndarray,
-    weights: AttentionWeights,
-    ch: int,
+    operands: list[tuple],
     mask: np.ndarray | None,
 ):
     """Lazy (head slice, masked logits) pairs in head order, from the
-    projected (lines, n|m, c) queries and keys. The one place logits are
-    built."""
-    for head in range(q_all.shape[2] // ch):
+    projected (lines, n|m, c) queries and keys and the call's
+    ``_head_operands``. The one place logits are built. Every head's logits
+    reuse one buffer, so each pair must be used before the next is drawn."""
+    ch = q_all.shape[2] // len(operands)
+    logits = np.empty((len(q_all), q_all.shape[1], k_all.shape[1]), dtype=np.float32)
+    for head, pair in enumerate(operands):
         hs = slice(head * ch, (head + 1) * ch)
-        yield hs, _head_logits(q_all[..., hs], k_all[..., hs], table, weights, hs, mask)
+        yield hs, _head_logits(q_all[..., hs], k_all[..., hs], pair, logits, mask)
+
+
+def _project(x_q: np.ndarray, x_kv: np.ndarray, weights: AttentionWeights) -> tuple:
+    """(lines, n|m, c) query, key and value projections of (lines, n|m, c)
+    token stacks, each one 2-D GEMM over all tokens of its stack."""
+    c = x_q.shape[2]
+    x2 = x_kv.reshape(-1, c)
+    return (
+        (x_q.reshape(-1, c) @ weights.Wq).reshape(x_q.shape),
+        (x2 @ weights.Wk).reshape(x_kv.shape),
+        (x2 @ weights.Wv).reshape(x_kv.shape),
+    )
 
 
 def _multihead(
@@ -337,24 +420,28 @@ def _multihead(
     weights: AttentionWeights,
     heads: int,
     mask: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched attention over (lines, n, c) token stacks; returns the
     pre-residual update, computed in pieces of lines (see the module
-    docstring)."""
-    n, m = x_q.shape[1], x_kv.shape[1]
-    ch, table = _checked_window(weights, heads, n, m, mask)
-    out = np.empty(x_q.shape, dtype=np.float32)
+    docstring). The caller checks ``mask``. The update goes to ``out`` if
+    given, which self-attention may point at ``x_q``: a piece's update is
+    written after its last read of its own lines."""
+    lines, n, c = x_q.shape
+    m = x_kv.shape[1]
+    ch, table = _checked_window(weights, heads, n, m, None)
+    if out is None:
+        out = np.empty(x_q.shape, dtype=np.float32)
+    tokens = out.reshape(-1, c)
     step = max(1, _PIECE_BYTES // x_q[0].nbytes)
-    for lo in range(0, len(x_q), step):
-        piece = slice(lo, lo + step)
-        q_all = x_q[piece] @ weights.Wq
-        k_all = x_kv[piece] @ weights.Wk
-        v_all = x_kv[piece] @ weights.Wv
-        for hs, logits in _logits_by_head(q_all, k_all, table, weights, ch, mask):
+    operands = _head_operands(table, weights, ch, n, m, min(step, lines))
+    for lo in range(0, lines, step):
+        q_all, k_all, v_all = _project(x_q[lo : lo + step], x_kv[lo : lo + step], weights)
+        for hs, logits in _logits_by_head(q_all, k_all, operands, mask):
             # a head's output replaces its own query columns, which only its
             # logits read
-            q_all[..., hs] = softmax_axis(logits, axis=2) @ v_all[..., hs]
-        np.matmul(q_all, weights.Wo, out=out[piece])
+            np.matmul(softmax_axis(logits, axis=2), v_all[..., hs], out=q_all[..., hs])
+        np.matmul(q_all.reshape(-1, c), weights.Wo, out=tokens[lo * n : (lo + step) * n])
     return out
 
 
@@ -367,8 +454,8 @@ def axial_attention_width(
     """
     if f.ndim != 3 or f.shape[0] != weights.channels:
         raise ValueError(f"feature shape {f.shape} does not match weights")
-    rows = np.ascontiguousarray(f.transpose(1, 2, 0))
-    return f + _multihead(rows, rows, weights, heads).transpose(2, 0, 1)
+    rows = f.transpose(1, 2, 0).copy()  # a private copy takes the update
+    return f + _multihead(rows, rows, weights, heads, out=rows).transpose(2, 0, 1)
 
 
 def axial_attention_height(
@@ -377,8 +464,8 @@ def axial_attention_height(
     """Column-wise twin of axial_attention_width."""
     if f.ndim != 3 or f.shape[0] != weights.channels:
         raise ValueError(f"feature shape {f.shape} does not match weights")
-    cols = np.ascontiguousarray(f.transpose(2, 1, 0))
-    return f + _multihead(cols, cols, weights, heads).transpose(2, 1, 0)
+    cols = f.transpose(2, 1, 0).copy()
+    return f + _multihead(cols, cols, weights, heads, out=cols).transpose(2, 1, 0)
 
 
 def _epipolar_rows(
@@ -417,14 +504,28 @@ def cross_attention(
     rows_l, rows_r = _epipolar_rows(left, right, weights)
     mask_t = None if mask is None else np.ascontiguousarray(mask.T)
     n = rows_l.shape[1]
-    for checked in (mask, mask_t):
-        _checked_window(weights, heads, n, n, checked)
+    _checked_window(weights, heads, n, n, mask)
+    _check_mask(mask_t, n, n)
     return _both(
         _attend_across,
         (left, rows_l, rows_r, weights, heads, mask),
         (right, rows_r, rows_l, weights, heads, mask_t),
         left.size,
     )
+
+
+def _add_scores(scores, rows_l, rows_r, weights, ch, table, mask) -> None:
+    # the heads' logits of some lines, summed in head order into their
+    # scores, in pieces of lines as in _multihead
+    lines, n, c = rows_l.shape
+    step = max(1, _PIECE_BYTES // rows_l[0].nbytes)
+    operands = _head_operands(table, weights, ch, n, rows_r.shape[1], min(step, lines))
+    for lo in range(0, lines, step):
+        x_q, x_k, total = rows_l[lo : lo + step], rows_r[lo : lo + step], scores[lo : lo + step]
+        q_all = (x_q.reshape(-1, c) @ weights.Wq).reshape(x_q.shape)
+        k_all = (x_k.reshape(-1, c) @ weights.Wk).reshape(x_k.shape)
+        for _, logits in _logits_by_head(q_all, k_all, operands, mask):
+            total += logits
 
 
 def cross_scores(
@@ -436,14 +537,24 @@ def cross_scores(
 ) -> ScoreMatrix:
     """The head-averaged, masked left-query logits of cross_attention, which
     the matching head reads: the heads' logits summed in head order, then
-    divided by the head count. No values, softmax or right-query pass."""
+    divided by the head count. No values, softmax or right-query pass. The
+    two halves of the lines run as two tasks (see the module docstring)."""
     rows_l, rows_r = _epipolar_rows(left, right, weights)
     ch, table = _checked_window(weights, heads, rows_l.shape[1], rows_r.shape[1], mask)
-    q_all, k_all = rows_l @ weights.Wq, rows_r @ weights.Wk
-    per_head = _logits_by_head(q_all, k_all, table, weights, ch, mask)
     scores = np.zeros((len(rows_l), rows_l.shape[1], rows_r.shape[1]), dtype=np.float32)
-    for _, logits in per_head:
-        scores += logits
+    half = -(-len(rows_l) // 2)
+    if left.size < ndarray._TASK_WORK or half == len(rows_l):
+        # too small to hand over: one task, with no call per half
+        _add_scores(scores, rows_l, rows_r, weights, ch, table, mask)
+    else:
+        _both(
+            _add_scores,
+            *(
+                (scores[part], rows_l[part], rows_r[part], weights, ch, table, mask)
+                for part in (slice(half), slice(half, None))
+            ),
+            left.size,
+        )
     scores /= np.float32(heads)
     return ScoreMatrix(scores)
 

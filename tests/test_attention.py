@@ -432,6 +432,42 @@ def test_multihead_split_bytes_equal_serial(two_way, monkeypatch, lines, length,
     assert len(runs) == 3
 
 
+@pytest.mark.parametrize("c", [128, 512])
+@pytest.mark.parametrize("length", [8, 16, 24, 64, 128])
+@pytest.mark.parametrize("lines", [1, 2, 3, 5, 32])
+def test_projections_equal_per_line_products(lines, length, c):
+    # one 2-D GEMM over all tokens of a stack gives each line the bytes of
+    # its own product, for self- and cross-attention stacks
+    w = random_attention_weights(Rng(130), c, 4, span=128)
+    rng = Rng(131 + length)
+    x_q = seeded_normal(rng, (lines, length, c), 1.0)
+    x_kv = seeded_normal(rng, (lines, length, c), 1.0)
+    for stacks in ((x_q, x_q), (x_q, x_kv)):
+        got = attention._project(*stacks, w)
+        want = [
+            [x @ matrix for x in stack]
+            for stack, matrix in zip((stacks[0], stacks[1], stacks[1]), (w.Wq, w.Wk, w.Wv))
+        ]
+        for g, lines_want in zip(got, want):
+            assert g.shape == (lines, length, c)
+            assert [line.tobytes() for line in g] == [x.tobytes() for x in lines_want]
+
+
+def test_cross_scores_halves_as_two_tasks_equal_one_thread(two_way):
+    # the two halves of the lines on two threads, on one thread, and as
+    # one task below the threshold all give the same bytes
+    left, right, w, heads = cross_case(5, 24, 16, 2)
+    mask = epipolar_mask(24, 24)
+    runs = two_way(True)
+    threaded = cross_scores(left, right, w, heads, mask).logits.tobytes()
+    assert len(runs) == 1
+    with ndarray._one_thread():
+        assert cross_scores(left, right, w, heads, mask).logits.tobytes() == threaded
+    runs = two_way(False)
+    assert cross_scores(left, right, w, heads, mask).logits.tobytes() == threaded
+    assert runs == []
+
+
 # 16 lines of 64 tokens at 128 channels reach the task threshold unforced
 SPLIT_SIZE = (16, 64, 128, 4)
 

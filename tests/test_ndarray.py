@@ -68,6 +68,36 @@ def test_softmax_bad_axis():
         softmax_axis(np.zeros((2, 2), dtype=F32), 2)
 
 
+def _softmax_by_maximum(t, axis):
+    # the row max by maximum.reduce, which propagates NaN
+    shifted = t - np.maximum.reduce(t, axis=axis, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= np.add.reduce(shifted, axis=axis, keepdims=True)
+    return shifted
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_softmax_rows_with_neg_inf_keep_the_maximum_bytes():
+    # masked logits: rows with some, most and all entries at -inf
+    t = (Rng(23).generator.random((3, 5, 40), dtype=F32) - 0.5) * 60
+    t[0, :, ::3] = -np.inf
+    t[1, :, 1:] = -np.inf
+    t[2, 2] = -np.inf
+    for axis in (2, 1):
+        assert softmax_axis(t, axis).tobytes() == _softmax_by_maximum(t, axis).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_softmax_nan_input_gives_an_all_nan_row():
+    t = Rng(24).generator.random((4, 9), dtype=F32)
+    t[1, 3] = np.nan
+    t[3] = np.nan
+    out = softmax_axis(t, 1)
+    assert np.isnan(out[[1, 3]]).all()
+    assert not np.isnan(out[[0, 2]]).any()
+    assert out[[0, 2]].tobytes() == _softmax_by_maximum(t[[0, 2]], 1).tobytes()
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_softmax_rows_sum_to_one(seed):
