@@ -164,9 +164,9 @@ class ScoreMatrix:
 # conv2d pads to. 8-row blocks change the bytes; 32-row ones read more columns.
 _BLOCK = _PIXEL_BLOCK
 # Bytes of queries per piece of lines: a piece's projections and one head's
-# logits then stay in cache. 256 KB pieces ran _multihead 13-20% faster than
-# 512 KB ones on one thread, and hold less; 1 MB pieces ran it 1.65-1.69x
-# faster on two threads than on one, but 20-30% slower on one.
+# logits then stay in cache. On one thread 256 KB pieces ran _multihead
+# 13-20% faster than 512 KB ones and 14-19% faster than 1 MB ones, and hold
+# less; 64 KB pieces ran 14-28% slower.
 _PIECE_BYTES = 256 << 10
 
 

@@ -485,8 +485,13 @@ def test_concurrent_callers_get_the_serial_bytes(two_way, monkeypatch):
     mask = epipolar_mask(SPLIT_SIZE[1], SPLIT_SIZE[1])
     threshold = ndarray._TASK_WORK
     assert left.size >= threshold
+    def run():
+        # both directions, then the scores of the two halves of the lines
+        out = [t.tobytes() for t in cross_attention(left, right, w, heads, mask)]
+        return out + [cross_scores(left, right, w, heads, mask).logits.tobytes()]
+
     two_way(False)
-    want = [t.tobytes() for t in cross_attention(left, right, w, heads, mask)]
+    want = run()
     runs = two_way(True)
     # at the real threshold the calls hand over tasks on their size alone
     monkeypatch.setattr(ndarray, "_TASK_WORK", threshold)
@@ -494,7 +499,7 @@ def test_concurrent_callers_get_the_serial_bytes(two_way, monkeypatch):
 
     def caller():
         for _ in range(3):
-            got.append([t.tobytes() for t in cross_attention(left, right, w, heads, mask)])
+            got.append(run())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -508,7 +513,7 @@ def test_concurrent_callers_get_the_serial_bytes(two_way, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [want] * 12
-    assert len(runs) == 12
+    assert len(runs) == 24
 
 
 def _names_in_fork_child(left, right, w, heads, want):
