@@ -230,7 +230,7 @@ def _diagonals(
 
 
 def _position_operand(
-    u: np.ndarray, n: int, m: int, by_key: bool, scratch: np.ndarray | None, lines: int
+    u: np.ndarray, n: int, m: int, by_key: bool, products: np.ndarray | None, lines: int
 ) -> np.ndarray | tuple:
     """What the position term of n queries over m keys needs besides the
     rows, for up to ``lines`` lines. None of it depends on the lines'
@@ -241,7 +241,7 @@ def _position_operand(
     Longer rows get ``(windows, out, tail, diagonals)``: each full block
     multiplies its overlapping window (``windows``, zero-copy views of a
     C-contiguous transpose of u) and a ragged last block its columns
-    (``tail``, or None), into views of ``scratch`` (``out``, and the view
+    (``tail``, or None), into views of ``products`` (``out``, and the view
     ``diagonals`` reads).
     """
     count = m if by_key else n
@@ -256,7 +256,7 @@ def _position_operand(
     first, step = (0, _BLOCK) if by_key else (n - _BLOCK, -_BLOCK)
     pitch = width + _BLOCK
     line = (count - 1) * pitch + n + m - 1
-    full = scratch[: lines * line].reshape(lines, line)
+    full = products[: lines * line].reshape(lines, line)
     windows = _strided(ut, (blocks, len(ut), width), first, (step, ut.shape[1], 1))
     out = _strided(
         full, (lines, blocks, _BLOCK, width), first, (line, _BLOCK * pitch + step, pitch, 1)
@@ -271,7 +271,7 @@ def _position_operand(
     return windows, out, tail or None, _diagonals(full, n, m, by_key, pitch)
 
 
-def _scratch_size(n: int, m: int) -> int:
+def _product_size(n: int, m: int) -> int:
     # floats per line of the larger blocked position-term product
     return max(
         (count - 1) * (n + m - count + 2 * _BLOCK - 1) + n + m - 1
@@ -309,17 +309,17 @@ def _head_operands(
     """Per head of ``ch`` channels, the position operands of its query rows
     (window product ``table @ Wk[hs, hs]``) and of its key rows (``table @
     Wq[hs, hs]``) for up to ``lines`` lines. The blocked products of all of
-    them go to one scratch buffer, so each term is added before the next
+    them go to one product buffer, so each term is added before the next
     runs."""
-    scratch = None
+    products = None
     if max(n, m) > _BLOCK:
-        scratch = np.empty(lines * _scratch_size(n, m), dtype=np.float32)
+        products = np.empty(lines * _product_size(n, m), dtype=np.float32)
     operands = []
     for lo in range(0, weights.channels, ch):
         hs = slice(lo, lo + ch)
         operands.append((
-            _position_operand(table @ weights.Wk[hs, hs], n, m, False, scratch, lines),
-            _position_operand(table @ weights.Wq[hs, hs], n, m, True, scratch, lines),
+            _position_operand(table @ weights.Wk[hs, hs], n, m, False, products, lines),
+            _position_operand(table @ weights.Wq[hs, hs], n, m, True, products, lines),
         ))
     return operands
 
