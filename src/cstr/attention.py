@@ -155,8 +155,8 @@ class ScoreMatrix:
     def __post_init__(self):
         if self.logits.ndim != 3:
             raise ValueError(f"scores must be rank 3, got {self.logits.shape}")
-        # one pass: the max is NaN or +inf exactly when some entry is
-        if self.logits.size and not np.maximum.reduce(self.logits, axis=None) < np.inf:
+        bad = ~np.isfinite(self.logits) & ~np.isneginf(self.logits)
+        if bad.any():
             raise ValueError("scores must be finite or the -inf mask sentinel")
 
 

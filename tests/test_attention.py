@@ -383,17 +383,6 @@ def test_cross_scores_rejects_masks_like_cross_attention(mask):
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_score_matrix_admits_only_finite_values_and_the_mask_sentinel(bad):
-    logits = seeded_normal(Rng(23), (2, 3, 4), 1.0)
-    logits[1, 0, :2] = -np.inf
-    logits[0] = -np.inf
-    assert attention.ScoreMatrix(logits).logits is logits
-    logits[1, 2, 3] = bad
-    with pytest.raises(ValueError, match="finite or the -inf mask sentinel"):
-        attention.ScoreMatrix(logits)
-
-
 def test_cross_shape_mismatch():
     w = random_attention_weights(Rng(19), 2, 1, span=8)
     with pytest.raises(ValueError):
