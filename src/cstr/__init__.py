@@ -6,6 +6,7 @@ from .attention import (
     AttentionWeights,
     PathWeights,
     ScoreMatrix,
+    ScoreWeights,
     axial_attention_height,
     axial_attention_width,
     cross_attention,

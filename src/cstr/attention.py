@@ -83,6 +83,7 @@ from .ndarray import _PIXEL_BLOCK, _both, softmax_axis
 __all__ = [
     "AttentionWeights",
     "PathWeights",
+    "ScoreWeights",
     "ScoreMatrix",
     "relative_logits",
     "axial_attention_width",
@@ -93,23 +94,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AttentionWeights:
-    """Projection matrices plus the relative-position embedding table.
+class _Projections:
+    """What score and attention weights share: (c, c) projections named in
+    ``_MATRICES`` plus a (2*span-1, head_channels) relative-position table
+    ``rel_pos``, indexed by offset j-i shifted by span-1."""
 
-    Wq/Wk/Wv/Wo are (c, c); rel_pos is (2*span-1, head_channels), indexed by
-    offset j-i shifted by span-1.
-    """
-
-    Wq: np.ndarray
-    Wk: np.ndarray
-    Wv: np.ndarray
-    Wo: np.ndarray
-    rel_pos: np.ndarray
+    _MATRICES: tuple[str, ...] = ()
 
     def __post_init__(self):
         c = self.Wq.shape[0]
-        for name in ("Wq", "Wk", "Wv", "Wo"):
+        for name in self._MATRICES:
             m = getattr(self, name)
             if m.shape != (c, c):
                 raise ValueError(f"{name} must be ({c}, {c}), got {m.shape}")
@@ -132,14 +126,43 @@ class AttentionWeights:
 
 
 @dataclass(frozen=True)
+class ScoreWeights(_Projections):
+    """What the logits read: the query and key projections and the
+    position table. The last layer's cross attention computes only its
+    scores, so its weights are of this type (``relative_logits`` and
+    ``cross_scores`` take either type)."""
+
+    Wq: np.ndarray
+    Wk: np.ndarray
+    rel_pos: np.ndarray
+
+    _MATRICES = ("Wq", "Wk")
+
+
+@dataclass(frozen=True)
+class AttentionWeights(_Projections):
+    """``ScoreWeights`` plus the value and output projections Wv/Wo, which
+    a feature update reads; all four are (c, c)."""
+
+    Wq: np.ndarray
+    Wk: np.ndarray
+    Wv: np.ndarray
+    Wo: np.ndarray
+    rel_pos: np.ndarray
+
+    _MATRICES = ("Wq", "Wk", "Wv", "Wo")
+
+
+@dataclass(frozen=True)
 class PathWeights:
     """One path's attention parameters in one layer: width-axial,
     height-axial and cross attention. The matching path and the context path
-    have the same three."""
+    have the same three; only the last layer's matching path has score-only
+    cross weights."""
 
     wax: AttentionWeights
     hax: AttentionWeights
-    cross: AttentionWeights
+    cross: AttentionWeights | ScoreWeights
 
 
 @dataclass(frozen=True)
@@ -170,7 +193,7 @@ _BLOCK = _PIXEL_BLOCK
 _PIECE_BYTES = 256 << 10
 
 
-def _check_heads(weights: AttentionWeights, heads: int) -> int:
+def _check_heads(weights: _Projections, heads: int) -> int:
     c = weights.channels
     if heads < 1 or c % heads != 0:
         raise ValueError(f"head count {heads} must divide channels {c}")
@@ -183,7 +206,7 @@ def _check_heads(weights: AttentionWeights, heads: int) -> int:
     return ch
 
 
-def _window(weights: AttentionWeights, n_q: int, n_k: int) -> np.ndarray:
+def _window(weights: _Projections, n_q: int, n_k: int) -> np.ndarray:
     """Rows of rel_pos for offsets -(n_q-1) .. n_k-1, after the length guard."""
     span = weights.span
     if max(n_q, n_k) > span:
@@ -304,7 +327,7 @@ def _add_position_term(
 
 
 def _head_operands(
-    table: np.ndarray, weights: AttentionWeights, ch: int, n: int, m: int, lines: int
+    table: np.ndarray, weights: _Projections, ch: int, n: int, m: int, lines: int
 ) -> list[tuple]:
     """Per head of ``ch`` channels, the position operands of its query rows
     (window product ``table @ Wk[hs, hs]``) and of its key rows (``table @
@@ -346,7 +369,7 @@ def _head_logits(
 
 def relative_logits(
     x: np.ndarray,
-    weights: AttentionWeights,
+    weights: ScoreWeights | AttentionWeights,
     head: int,
     keys: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -375,7 +398,7 @@ def relative_logits(
 
 
 def _checked_window(
-    weights: AttentionWeights, heads: int, n: int, m: int, mask: np.ndarray | None
+    weights: _Projections, heads: int, n: int, m: int, mask: np.ndarray | None
 ) -> tuple[int, np.ndarray]:
     """Run the head, length and mask checks; return the head channels and the
     offset window of n queries over m keys."""
@@ -469,7 +492,7 @@ def axial_attention_height(
 
 
 def _epipolar_rows(
-    left: np.ndarray, right: np.ndarray, weights: AttentionWeights
+    left: np.ndarray, right: np.ndarray, weights: _Projections
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both (c, h, w) maps as contiguous (h, w, c) stacks of epipolar lines."""
     if left.shape != right.shape:
@@ -501,6 +524,11 @@ def cross_attention(
     residuals); ``cross_scores`` gives the matching scores. The two
     directions run as two tasks (see the module docstring).
     """
+    if not isinstance(weights, AttentionWeights):
+        raise ValueError(
+            "cross_attention needs value and output projections; score-only "
+            "weights belong to the last layer, which computes only scores"
+        )
     rows_l, rows_r = _epipolar_rows(left, right, weights)
     mask_t = None if mask is None else np.ascontiguousarray(mask.T)
     n = rows_l.shape[1]
@@ -531,7 +559,7 @@ def _add_scores(scores, rows_l, rows_r, weights, ch, table, mask) -> None:
 def cross_scores(
     left: np.ndarray,
     right: np.ndarray,
-    weights: AttentionWeights,
+    weights: ScoreWeights | AttentionWeights,
     heads: int,
     mask: np.ndarray | None = None,
 ) -> ScoreMatrix:

@@ -9,8 +9,9 @@ Three wiring strategies control when context is emitted for fusion:
   feature is carried forward.
 * M2: every layer runs the axial pass only; a single cross pass runs at the
   final layer, whose output is the only payload. ``forward`` runs only the
-  scores of the final layer, so under M2 it never computes a payload and its
-  outputs do not depend on the context path.
+  scores of the final layer, and a model holds no context weights for it,
+  so under M2 ``forward`` never computes a payload and its outputs do not
+  depend on the context path.
 * M3: every layer runs axial then cross; the post-cross feature is both the
   payload and the carried state.
 

@@ -9,28 +9,37 @@ attention on both images, then the masked left-query logits. That layer's
 right-query pass, value projection, context step and fusion would produce
 features nothing reads, so they never run.
 
-Weight naming scheme (all tensors float32):
+Weight naming scheme (all tensors float32), for L layers:
 
     backbone.conv{s}.kernel / .bias        s = 1..log2(1/mmp_scale)
     layer{i}.mmp.{wax,hax,cross}.{Wq,Wk,Wv,Wo,rel}
-    layer{i}.cep.{wax,hax,cross}.{Wq,Wk,Wv,Wo,rel}
-    fusion{i}.conv{1,2}.{kernel,bias}
+    layer{i}.cep.{wax,hax,cross}.{Wq,Wk,Wv,Wo,rel}    i < L-1
+    fusion{i}.conv{1,2}.{kernel,bias}                 i < L-1
     refine.conv{1,2}.{kernel,bias}, refine.occ.{kernel,bias}
+
+The last layer, L-1, keeps only what its scores read: its matching path's
+axial sets and layer{L-1}.mmp.cross.{Wq,Wk,rel}. ``weight_spec`` lists
+exactly these tensors, and a store holding any other tensor is rejected.
+Every other layer carries a full context and fusion parameter set regardless
+of the configured strategy, so one weight file can drive M1, M2 or M3.
+``init_weights`` still draws the full layout, every layer with a context
+path and fusion block, and discards the last layer's tensors that are not
+read, so each kept tensor has the bytes it had when files held them all.
+Files written in that full layout must be regenerated (``cstr init-weights``).
 
 ``ModelDescription`` validates a store against the config before any compute.
 On first use it resolves these names once into typed views of the store's
 arrays: ``backbone``, a (kernel, bias) pair per stage; ``layers``, per layer
-a ``LayerWeights`` of the matching-path and context-path ``PathWeights``
-(wax/hax/cross ``AttentionWeights``) and the ``FusionWeights``; and
-``refine``, the ``RefineWeights``. Names are built only in ``weight_spec``
-and ``ModelDescription``; the forward functions take the typed weights.
+but the last a ``LayerWeights`` of the matching-path and context-path
+``PathWeights`` (wax/hax/cross ``AttentionWeights``) and the
+``FusionWeights``, then the last layer's ``ScoreLayerWeights``, whose
+matching path has ``ScoreWeights`` for its cross attention; and ``refine``,
+the ``RefineWeights``. Names are built only in ``weight_spec`` and
+``ModelDescription``; the forward functions take the typed weights.
 
-Every layer carries a full context and fusion parameter set regardless of
-the configured strategy, so one weight file can drive M1, M2 or M3. The last
-layer's context and fusion tensors and its mmp.cross.Wv/Wo stay in the file
-but are unused. The position-embedding span is fixed at weight-initialization
-time and recorded implicitly in the rel tensor shapes; lines longer than the
-span are rejected.
+The position-embedding span is fixed at weight-initialization time and
+recorded implicitly in the rel tensor shapes; lines longer than the span are
+rejected.
 
 The backbone is a small stack of stride-2 rectified convolutions with shared
 left/right weights; inputs whose extents do not divide the scale factor must
@@ -50,7 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .attention import AttentionWeights, PathWeights, ScoreMatrix
+from .attention import AttentionWeights, PathWeights, ScoreMatrix, ScoreWeights
 from .attention import axial_attention_height, axial_attention_width, pixel_norm
 from .attention import cross_attention, cross_scores
 from .context import ContextState, FusionWeights, cep_step, make_context_features, path_fusion
@@ -74,6 +83,7 @@ __all__ = [
     "REFINE_HIDDEN",
     "LayerWeights",
     "ModelDescription",
+    "ScoreLayerWeights",
     "weight_spec",
     "init_weights",
     "pad_pair_to_multiple",
@@ -84,6 +94,11 @@ __all__ = [
 
 DEFAULT_SPAN = 64
 REFINE_HIDDEN = 16
+# tensor names of each attention weight type, in field order
+_TENSORS = {
+    AttentionWeights: ("Wq", "Wk", "Wv", "Wo", "rel"),
+    ScoreWeights: ("Wq", "Wk", "rel"),
+}
 
 
 def _backbone_channels(config: RunConfig) -> list[int]:
@@ -93,8 +108,9 @@ def _backbone_channels(config: RunConfig) -> list[int]:
     return [config.channels >> (stages - 1 - s) for s in range(stages)]
 
 
-def weight_spec(config: RunConfig, span: int = DEFAULT_SPAN) -> dict[str, tuple]:
-    """Ordered name -> shape map of every tensor the config requires."""
+def _drawn_layout(config: RunConfig, span: int) -> dict[str, tuple]:
+    """Ordered name -> shape map of the layout ``init_weights`` draws: every
+    layer with both paths' full attention sets and a fusion block."""
     if span < 1:
         raise ValueError("span must be >= 1")
     c = config.channels
@@ -126,27 +142,47 @@ def weight_spec(config: RunConfig, span: int = DEFAULT_SPAN) -> dict[str, tuple]
     return spec
 
 
+def weight_spec(config: RunConfig, span: int = DEFAULT_SPAN) -> dict[str, tuple]:
+    """Ordered name -> shape map of every tensor ``forward`` reads under the
+    config: the drawn layout without the last layer's context path, fusion
+    block and mmp.cross.Wv/Wo (see the module docstring)."""
+    last = config.layers - 1
+    unread = (f"layer{last}.cep.", f"fusion{last}.")
+    unread_matrices = (f"layer{last}.mmp.cross.Wv", f"layer{last}.mmp.cross.Wo")
+    return {
+        name: shape
+        for name, shape in _drawn_layout(config, span).items()
+        if not name.startswith(unread) and name not in unread_matrices
+    }
+
+
 def init_weights(
     config: RunConfig, span: int = DEFAULT_SPAN, seed: int | None = None
 ) -> WeightStore:
-    """Seeded random initialization of every tensor in the naming scheme.
+    """Seeded random initialization of every tensor in ``weight_spec``.
 
-    Draw order follows the weight_spec map, so a given seed always produces
-    the same store byte for byte. Biases are zero; projections use 1/sqrt(c),
-    kernels 1/sqrt(fan_in), position tables a flat 0.02.
+    Every tensor of the full layer layout is drawn in its naming order, and
+    the last layer's tensors that ``weight_spec`` leaves out are then
+    discarded, so a given seed always produces the same store byte for byte,
+    and the same bytes for each kept tensor as when every layer was stored
+    in full. Biases are zero; projections use 1/sqrt(c), kernels
+    1/sqrt(fan_in), position tables a flat 0.02.
     """
     rng = Rng(config.seed if seed is None else seed)
+    kept = weight_spec(config, span)
     store = WeightStore()
-    for name, shape in weight_spec(config, span).items():
+    for name, shape in _drawn_layout(config, span).items():
         if name.endswith(".bias"):
-            store[name] = np.zeros(shape, dtype=np.float32)
+            value = np.zeros(shape, dtype=np.float32)
         elif name.endswith(".rel"):
-            store[name] = seeded_normal(rng, shape, 0.02)
+            value = seeded_normal(rng, shape, 0.02)
         elif name.endswith(".kernel"):
             fan_in = int(np.prod(shape[1:]))
-            store[name] = seeded_normal(rng, shape, 1.0 / np.sqrt(fan_in))
+            value = seeded_normal(rng, shape, 1.0 / np.sqrt(fan_in))
         else:
-            store[name] = seeded_normal(rng, shape, 1.0 / np.sqrt(shape[0]))
+            value = seeded_normal(rng, shape, 1.0 / np.sqrt(shape[0]))
+        if name in kept:
+            store[name] = value
     return store
 
 
@@ -158,6 +194,14 @@ class LayerWeights:
     mmp: PathWeights
     cep: PathWeights
     fusion: FusionWeights
+
+
+@dataclass(frozen=True)
+class ScoreLayerWeights:
+    """The last layer's parameters: only what ``_final_scores`` reads, the
+    matching path's axial weights and its cross-attention ``ScoreWeights``."""
+
+    mmp: PathWeights
 
 
 @dataclass(frozen=True)
@@ -198,9 +242,11 @@ class ModelDescription:
         return tuple(self._conv(f"backbone.conv{s}") for s in stages)
 
     @cached_property
-    def layers(self) -> tuple[LayerWeights, ...]:
-        """One ``LayerWeights`` per stacked layer."""
-        return tuple(
+    def layers(self) -> tuple[LayerWeights | ScoreLayerWeights, ...]:
+        """One ``LayerWeights`` per stacked layer but the last, then the
+        last layer's ``ScoreLayerWeights``."""
+        last = self.config.layers - 1
+        full = (
             LayerWeights(
                 mmp=self._path(f"layer{i}.mmp"),
                 cep=self._path(f"layer{i}.cep"),
@@ -208,8 +254,9 @@ class ModelDescription:
                     *self._conv(f"fusion{i}.conv1"), *self._conv(f"fusion{i}.conv2")
                 ),
             )
-            for i in range(self.config.layers)
+            for i in range(last)
         )
+        return (*full, ScoreLayerWeights(self._path(f"layer{last}.mmp", ScoreWeights)))
 
     @cached_property
     def refine(self) -> RefineWeights:
@@ -220,12 +267,12 @@ class ModelDescription:
     def _conv(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         return self.weights[f"{name}.kernel"], self.weights[f"{name}.bias"]
 
-    def _path(self, name: str) -> PathWeights:
-        def attention(sub: str) -> AttentionWeights:
-            tensors = ("Wq", "Wk", "Wv", "Wo", "rel")
-            return AttentionWeights(*(self.weights[f"{name}.{sub}.{t}"] for t in tensors))
+    def _path(self, name: str, cross=AttentionWeights) -> PathWeights:
+        def attention(sub: str, kind=AttentionWeights):
+            tensors = _TENSORS[kind]
+            return kind(*(self.weights[f"{name}.{sub}.{t}"] for t in tensors))
 
-        return PathWeights(attention("wax"), attention("hax"), attention("cross"))
+        return PathWeights(attention("wax"), attention("hax"), attention("cross", cross))
 
 
 def pad_pair_to_multiple(pair: ImagePair, multiple: int) -> tuple[ImagePair, tuple[int, int]]:
@@ -319,11 +366,17 @@ def cstr_layer(
 
     Returns the next matching features of both images and the next context
     state. ``forward`` runs it for every layer but the last; the last layer's
-    features are never read, so there ``forward`` computes only the scores.
+    features are never read, so there ``forward`` computes only the scores,
+    and the model holds no weights for the rest of that layer.
     """
     config = model.config
     if not 0 <= layer < config.layers:
         raise ValueError(f"layer {layer} out of range for {config.layers} layers")
+    if layer == config.layers - 1:
+        raise ValueError(
+            f"layer {layer} is the last layer, which computes only scores; "
+            "forward runs it up to cross_scores"
+        )
     weights = model.layers[layer]
     heads = config.heads
     left, right = _axial_half(mmp_left, mmp_right, weights.mmp, heads)

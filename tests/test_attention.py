@@ -8,6 +8,7 @@ import pytest
 from cstr import (
     AttentionWeights,
     Rng,
+    ScoreWeights,
     axial_attention_height,
     axial_attention_width,
     cross_attention,
@@ -363,6 +364,25 @@ def test_cross_scores_bytes_equal_cross_attention_scores(length, heads, masked):
     got = cross_scores(left, right, w, heads, mask).logits
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_score_weights_give_the_scores_of_the_full_weights():
+    # the last layer's cross attention keeps only Wq, Wk and rel_pos
+    c, heads, length = 8, 2, 48
+    w = random_attention_weights(Rng(23), c, heads, span_of(length))
+    scores_only = ScoreWeights(w.Wq, w.Wk, w.rel_pos)
+    rng = Rng(24)
+    left = seeded_normal(rng, (c, 3, length), 1.0)
+    right = seeded_normal(rng, (c, 3, length), 1.0)
+    mask = epipolar_mask(length, length)
+    want = cross_scores(left, right, w, heads, mask).logits
+    assert cross_scores(left, right, scores_only, heads, mask).logits.tobytes() == want.tobytes()
+    line = left[:, 0, :].T
+    for head in range(heads):
+        want = relative_logits(line, w, head)
+        assert relative_logits(line, scores_only, head).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="Wk must be"):
+        ScoreWeights(w.Wq, w.Wk[:4], w.rel_pos)
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,14 @@ def test_init_weights_default_config_has_six_layers(tmp_path):
     assert store["layer0.mmp.wax.Wq"].shape == (128, 128)
 
 
+def test_init_weights_default_config_reports_193_tensors(tmp_path, capsys):
+    # the default file holds only the tensors forward reads
+    out = tmp_path / "default.w"
+    assert run_cli("init-weights", "--out", out)[0] == 0
+    assert f"wrote 193 tensors to {out}" in capsys.readouterr().err
+    assert len(read_weights(out)) == 193
+
+
 def test_init_weights_bad_config_exits_one(workdir):
     bad = workdir / "bad.cfg"
     bad.write_text("heads=5\nchannels=128\n")
@@ -172,6 +180,34 @@ def test_infer_shape_mismatch_exits_nonzero_and_names_shapes(workdir, weights_fi
     assert code == 1
     err = capsys.readouterr().err
     assert "16, 32" in err and "8, 16" in err
+
+
+def test_infer_rejects_a_full_layout_weight_file(workdir, weights_file, capsys):
+    # a file written while every layer was stored in full also holds the last
+    # layer's context path, fusion block and mmp.cross.Wv/Wo
+    from cstr import RunConfig, WeightStore, write_weights
+    from cstr.pipeline import _drawn_layout
+
+    store = read_weights(weights_file)
+    layout = _drawn_layout(RunConfig(layers=2, channels=8, heads=2), 16)
+    old = workdir / "old.w"
+    write_weights(old, WeightStore(
+        {n: store[n] if n in store else np.zeros(s, F32) for n, s in layout.items()}
+    ))
+    code, out = run_cli(
+        "infer",
+        "--left", workdir / "left.pgm",
+        "--right", workdir / "right.pgm",
+        "--weights", old,
+        "--config", workdir / "run.cfg",
+        "--out-disp", workdir / "d.pfm",
+        "--out-occ", workdir / "o.pgm",
+    )
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert "weights hold unexpected tensors" in err
+    assert "'layer1.cep." in err or "'fusion1." in err
+    assert not (workdir / "d.pfm").exists()
 
 
 def test_infer_unreadable_weights_exits_two(workdir):

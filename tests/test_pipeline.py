@@ -13,8 +13,10 @@ from cstr import (
     Rng,
     RunConfig,
     ScoreMatrix,
+    ScoreWeights,
     WeightStore,
     backbone_forward,
+    cross_attention,
     cstr_layer,
     epipolar_mask,
     forward,
@@ -28,7 +30,7 @@ from cstr import (
     weight_spec,
 )
 import cstr.pipeline
-from cstr.pipeline import DEFAULT_SPAN, _axial_half, _line_plans
+from cstr.pipeline import DEFAULT_SPAN, _axial_half, _drawn_layout, _line_plans
 from cstr.matching import regress_raw
 from cstr.selftest import per_line_cross_scores
 
@@ -55,12 +57,45 @@ def random_pair(seed=0, shape=(1, 16, 32)):
 def test_weight_spec_default_config_counts():
     spec = weight_spec(RunConfig())
     layer_names = [n for n in spec if n.startswith("layer")]
-    assert len(layer_names) == 6 * 2 * 3 * 5  # layers x paths x sublayers x tensors
+    # layers x paths x sublayers x tensors, less the last layer's context
+    # path and its mmp.cross.Wv/Wo, which forward never reads
+    assert len(layer_names) == 6 * 2 * 3 * 5 - 3 * 5 - 2 == 163
     assert "backbone.conv1.kernel" in spec and "backbone.conv2.kernel" in spec
     assert "backbone.conv3.kernel" not in spec  # 1/4 scale needs two stages
     assert spec["layer0.mmp.wax.Wq"] == (128, 128)
     assert spec["layer0.mmp.wax.rel"] == (127, 32)
-    assert spec["fusion5.conv1.kernel"] == (128, 256, 3, 3)
+    assert spec["fusion4.conv1.kernel"] == (128, 256, 3, 3)
+    assert not [n for n in spec if n.startswith("fusion5.")]
+
+
+def test_default_weight_spec_holds_only_what_forward_reads():
+    # a change that brings back unread tensors fails here, not only in the
+    # benchmark's peak memory
+    spec = weight_spec(RunConfig())
+    assert len(spec) == 193
+    assert sum(4 * int(np.prod(shape)) for shape in spec.values()) == 18_208_464
+
+
+# sha256 of the kept tensors' bytes in weight_spec order, frozen from the
+# store of the full layer layout before the last layer's unread tensors
+# were dropped: dropping them moved none of the others
+KEPT_STORE_DIGESTS = {
+    "default": (
+        RunConfig(),
+        DEFAULT_SPAN,
+        "bbc87729c41ee02120ee4f96e914ff97bb2037bdfc208d4791ec6e2eafa8e4c3",
+    ),
+    "tiny": (TINY, 16, "948f5b168519f40cb5e7ef01745c51b10b852263cc798ee666cfaf35a5a57064"),
+}
+
+
+@pytest.mark.parametrize("name", list(KEPT_STORE_DIGESTS))
+def test_init_weights_keeps_the_bytes_of_every_kept_tensor(name):
+    config, span, digest = KEPT_STORE_DIGESTS[name]
+    store = init_weights(config, span=span, seed=0)
+    names = list(weight_spec(config, span))
+    assert list(store) == names
+    assert hashlib.sha256(b"".join(store[n].tobytes() for n in names)).hexdigest() == digest
 
 
 def test_weight_spec_scale_controls_backbone_depth():
@@ -99,6 +134,34 @@ def test_validation_rejects_misshaped_tensor():
     tensors["refine.conv2.bias"] = np.zeros(2, dtype=F32)
     with pytest.raises(ValueError, match="shape"):
         ModelDescription(TINY, WeightStore(tensors))
+
+
+def full_layout_store(config, span):
+    """A store in the layout before the last layer's unread tensors were
+    dropped: every layer with its context path, fusion block and
+    mmp.cross.Wv/Wo."""
+    store = init_weights(config, span=span)
+    layout = _drawn_layout(config, span)
+    assert len(layout) == len(store) + 21
+    return WeightStore(
+        {n: store[n] if n in store else np.zeros(shape, F32) for n, shape in layout.items()}
+    )
+
+
+def test_validation_rejects_the_full_layout():
+    with pytest.raises(ValueError, match=r"unexpected tensors: .*'(layer1\.cep\.|fusion1\.)"):
+        ModelDescription(TINY, full_layout_store(TINY, 8))
+
+
+def test_last_layer_computes_only_scores():
+    model = tiny_model()
+    feat_l, feat_r, ctx = backbone_forward(random_pair(), model)
+    with pytest.raises(ValueError, match="last layer, which computes only scores"):
+        cstr_layer(feat_l, feat_r, ctx, 1, model)
+    scores_only = model.layers[1].mmp.cross
+    assert isinstance(scores_only, ScoreWeights)
+    with pytest.raises(ValueError, match="last layer, which computes only scores"):
+        cross_attention(feat_l, feat_r, scores_only, TINY.heads)
 
 
 def test_validation_rejects_extra_tensor():
@@ -590,25 +653,15 @@ def test_forward_bytes_equal_full_last_layer_reference(strategy, layers):
 
 
 LIVENESS = RunConfig(layers=3, channels=8, heads=2)
-# The last layer feeds the matching head its scores only, so its context
-# path, its fusion and its value/output projections never reach an output.
-LAST_LAYER_DEAD = {
-    *(f"fusion2.conv{i}.{p}" for i in (1, 2) for p in ("kernel", "bias")),
-    *(
-        f"layer2.cep.{sub}.{mat}"
-        for sub in ("wax", "hax", "cross")
-        for mat in ("Wq", "Wk", "Wv", "Wo", "rel")
-    ),
-    "layer2.mmp.cross.Wv",
-    "layer2.mmp.cross.Wo",
-}
+# The weight files hold only what forward reads, so under M1 and M3 every
+# tensor moves the output. M2 emits its only context payload at the last
+# layer, which computes only scores, so the context and fusion tensors of
+# layers 0 .. L-2 (38 here) are dead; which M2 is meant is open (ROADMAP
+# item 1).
 DEAD_TENSORS = {
-    "M1": LAST_LAYER_DEAD,
-    # M2 emits its only context payload at the last layer, so its whole
-    # context path is dead; which M2 is meant is open (ROADMAP item 1).
-    "M2": LAST_LAYER_DEAD
-    | {n for n in weight_spec(LIVENESS) if n.startswith("fusion") or ".cep." in n},
-    "M3": LAST_LAYER_DEAD,
+    "M1": set(),
+    "M2": {n for n in weight_spec(LIVENESS) if n.startswith("fusion") or ".cep." in n},
+    "M3": set(),
 }
 
 
@@ -632,5 +685,5 @@ def test_every_tensor_outside_the_dead_set_moves_the_output(strategy):
         noisy[name] = value + seeded_normal(rng, value.shape, 0.1)
         if output_bytes(noisy) == base:
             dead.add(name)
-    assert len(tensors) == 112
+    assert len(tensors) == 91
     assert dead == DEAD_TENSORS[strategy]
