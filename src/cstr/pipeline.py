@@ -108,14 +108,14 @@ def _backbone_channels(config: RunConfig) -> list[int]:
     return [config.channels >> (stages - 1 - s) for s in range(stages)]
 
 
-def _drawn_layout(config: RunConfig, span: int) -> dict[str, tuple]:
-    """Ordered name -> shape map of the layout ``init_weights`` draws: every
-    layer with both paths' full attention sets and a fusion block."""
+def _layout(config: RunConfig, span: int, last_in_full: bool) -> dict[str, tuple]:
+    """Ordered name -> shape map of every layer's tensors. The last layer
+    holds only what its scores read unless ``last_in_full`` is set, which
+    gives the layout ``init_weights`` draws (see the module docstring)."""
     if span < 1:
         raise ValueError("span must be >= 1")
     c = config.channels
-    ch = config.head_channels
-    rel_shape = (2 * span - 1, ch)
+    rel_shape = (2 * span - 1, config.head_channels)
     spec: dict[str, tuple] = {}
     prev = 1
     for s, out in enumerate(_backbone_channels(config), start=1):
@@ -123,16 +123,17 @@ def _drawn_layout(config: RunConfig, span: int) -> dict[str, tuple]:
         spec[f"backbone.conv{s}.bias"] = (out,)
         prev = out
     for i in range(config.layers):
-        for path in ("mmp", "cep"):
+        full = last_in_full or i < config.layers - 1
+        for path in ("mmp", "cep") if full else ("mmp",):
             for sub in ("wax", "hax", "cross"):
-                base = f"layer{i}.{path}.{sub}"
-                for mat in ("Wq", "Wk", "Wv", "Wo"):
-                    spec[f"{base}.{mat}"] = (c, c)
-                spec[f"{base}.rel"] = rel_shape
-        spec[f"fusion{i}.conv1.kernel"] = (c, 2 * c, 3, 3)
-        spec[f"fusion{i}.conv1.bias"] = (c,)
-        spec[f"fusion{i}.conv2.kernel"] = (c, c, 3, 3)
-        spec[f"fusion{i}.conv2.bias"] = (c,)
+                kind = AttentionWeights if full or sub != "cross" else ScoreWeights
+                for t in _TENSORS[kind]:
+                    spec[f"layer{i}.{path}.{sub}.{t}"] = rel_shape if t == "rel" else (c, c)
+        if full:
+            spec[f"fusion{i}.conv1.kernel"] = (c, 2 * c, 3, 3)
+            spec[f"fusion{i}.conv1.bias"] = (c,)
+            spec[f"fusion{i}.conv2.kernel"] = (c, c, 3, 3)
+            spec[f"fusion{i}.conv2.bias"] = (c,)
     spec["refine.conv1.kernel"] = (REFINE_HIDDEN, 2, 3, 3)
     spec["refine.conv1.bias"] = (REFINE_HIDDEN,)
     spec["refine.conv2.kernel"] = (1, REFINE_HIDDEN, 3, 3)
@@ -144,16 +145,9 @@ def _drawn_layout(config: RunConfig, span: int) -> dict[str, tuple]:
 
 def weight_spec(config: RunConfig, span: int = DEFAULT_SPAN) -> dict[str, tuple]:
     """Ordered name -> shape map of every tensor ``forward`` reads under the
-    config: the drawn layout without the last layer's context path, fusion
-    block and mmp.cross.Wv/Wo (see the module docstring)."""
-    last = config.layers - 1
-    unread = (f"layer{last}.cep.", f"fusion{last}.")
-    unread_matrices = (f"layer{last}.mmp.cross.Wv", f"layer{last}.mmp.cross.Wo")
-    return {
-        name: shape
-        for name, shape in _drawn_layout(config, span).items()
-        if not name.startswith(unread) and name not in unread_matrices
-    }
+    config: every layer in full but the last, which has no context path, no
+    fusion block and no mmp.cross.Wv/Wo (see the module docstring)."""
+    return _layout(config, span, last_in_full=False)
 
 
 def init_weights(
@@ -171,7 +165,7 @@ def init_weights(
     rng = Rng(config.seed if seed is None else seed)
     kept = weight_spec(config, span)
     store = WeightStore()
-    for name, shape in _drawn_layout(config, span).items():
+    for name, shape in _layout(config, span, last_in_full=True).items():
         if name.endswith(".bias"):
             value = np.zeros(shape, dtype=np.float32)
         elif name.endswith(".rel"):

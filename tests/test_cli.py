@@ -186,10 +186,10 @@ def test_infer_rejects_a_full_layout_weight_file(workdir, weights_file, capsys):
     # a file written while every layer was stored in full also holds the last
     # layer's context path, fusion block and mmp.cross.Wv/Wo
     from cstr import RunConfig, WeightStore, write_weights
-    from cstr.pipeline import _drawn_layout
+    from cstr.pipeline import _layout
 
     store = read_weights(weights_file)
-    layout = _drawn_layout(RunConfig(layers=2, channels=8, heads=2), 16)
+    layout = _layout(RunConfig(layers=2, channels=8, heads=2), 16, last_in_full=True)
     old = workdir / "old.w"
     write_weights(old, WeightStore(
         {n: store[n] if n in store else np.zeros(s, F32) for n, s in layout.items()}

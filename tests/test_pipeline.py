@@ -30,7 +30,7 @@ from cstr import (
     weight_spec,
 )
 import cstr.pipeline
-from cstr.pipeline import DEFAULT_SPAN, _axial_half, _drawn_layout, _line_plans
+from cstr.pipeline import DEFAULT_SPAN, _axial_half, _layout, _line_plans
 from cstr.matching import regress_raw
 from cstr.selftest import per_line_cross_scores
 
@@ -141,7 +141,7 @@ def full_layout_store(config, span):
     dropped: every layer with its context path, fusion block and
     mmp.cross.Wv/Wo."""
     store = init_weights(config, span=span)
-    layout = _drawn_layout(config, span)
+    layout = _layout(config, span, last_in_full=True)
     assert len(layout) == len(store) + 21
     return WeightStore(
         {n: store[n] if n in store else np.zeros(shape, F32) for n, shape in layout.items()}
