@@ -12,20 +12,17 @@ features nothing reads, so they never run.
 Weight naming scheme (all tensors float32), for L layers:
 
     backbone.conv{s}.kernel / .bias        s = 1..log2(1/mmp_scale)
-    layer{i}.mmp.{wax,hax,cross}.{Wq,Wk,Wv,Wo,rel}
-    layer{i}.cep.{wax,hax,cross}.{Wq,Wk,Wv,Wo,rel}    i < L-1
-    fusion{i}.conv{1,2}.{kernel,bias}                 i < L-1
+    layer{i}.{mmp,cep}.{wax,hax,cross}.{Wq,Wk,Wv,Wo,rel}    i < L-1
+    fusion{i}.conv{1,2}.{kernel,bias}                       i < L-1
+    layer{L-1}.mmp.{wax,hax}.{Wq,Wk,Wv,Wo,rel}, layer{L-1}.mmp.cross.{Wq,Wk,rel}
     refine.conv{1,2}.{kernel,bias}, refine.occ.{kernel,bias}
 
-The last layer, L-1, keeps only what its scores read: its matching path's
-axial sets and layer{L-1}.mmp.cross.{Wq,Wk,rel}. ``weight_spec`` lists
-exactly these tensors, and a store holding any other tensor is rejected.
-Every other layer carries a full context and fusion parameter set regardless
-of the configured strategy, so one weight file can drive M1, M2 or M3.
-``init_weights`` still draws the full layout, every layer with a context
-path and fusion block, and discards the last layer's tensors that are not
-read, so each kept tensor has the bytes it had when files held them all.
-Files written in that full layout must be regenerated (``cstr init-weights``).
+The last layer holds only what its scores read. The others carry a full
+context and fusion set whatever the strategy, so one weight file can drive
+M1, M2 or M3. ``init_weights`` draws every layer in full and then drops the
+last layer's unread tensors, so each kept tensor has the bytes it had when
+files held them all; a file in that older layout is rejected and must be
+regenerated (``cstr init-weights``).
 
 ``ModelDescription`` validates a store against the config before any compute.
 On first use it resolves these names once into typed views of the store's
@@ -155,12 +152,11 @@ def init_weights(
 ) -> WeightStore:
     """Seeded random initialization of every tensor in ``weight_spec``.
 
-    Every tensor of the full layer layout is drawn in its naming order, and
-    the last layer's tensors that ``weight_spec`` leaves out are then
-    discarded, so a given seed always produces the same store byte for byte,
-    and the same bytes for each kept tensor as when every layer was stored
-    in full. Biases are zero; projections use 1/sqrt(c), kernels
-    1/sqrt(fan_in), position tables a flat 0.02.
+    Every layer is drawn in full, in naming order, and the last layer's
+    unread tensors are then dropped (see the module docstring), so a given
+    seed always produces the same store byte for byte. Biases are zero;
+    projections use 1/sqrt(c), kernels 1/sqrt(fan_in), position tables a
+    flat 0.02.
     """
     rng = Rng(config.seed if seed is None else seed)
     kept = weight_spec(config, span)
