@@ -12,7 +12,12 @@ Fixed conventions, chosen once so that outputs are reproducible bit for bit:
   stride do not change the bytes,
 * resampling is bilinear with the half-pixel (align-corners-false) mapping,
 * reductions keep numpy's fixed evaluation order, so identical inputs give
-  identical bits on a given platform regardless of caller threading.
+  identical bits on a given platform regardless of caller threading. Two
+  cheaper forms give the same bits: a max is the same in any order, so
+  softmax's row max may take another loop; and numpy sums fewer than 8
+  values in index order from +0.0, so pooling by a factor below 8 adds whole
+  columns in that order. Both skip a cost that numpy's reduction pays per
+  output row (per line or per window), which dominates on short rows.
 
 All functions here are pure: no in-place mutation of inputs, and no global
 state except one helper thread per process. A pipeline stage that runs once
@@ -101,8 +106,10 @@ def softmax_axis(t: np.ndarray, axis: int) -> np.ndarray:
     if not -rank <= axis < rank:
         raise ValueError(f"axis {axis} out of range for rank {rank}")
     # fmax skips NaN, so it runs faster than maximum; a row holding NaN still
-    # comes out all NaN, and on other rows the max and the bytes are the same
-    shifted = t - np.fmax.reduce(t, axis=axis, keepdims=True)
+    # comes out all NaN, and on other rows the max and the bytes are the same.
+    # With an initial value numpy takes a loop without the per-row cost it
+    # pays on rows whose length is a multiple of 16; a max is order-free.
+    shifted = t - np.fmax.reduce(t, axis=axis, keepdims=True, initial=-np.inf)
     np.exp(shifted, out=shifted)
     shifted /= np.add.reduce(shifted, axis=axis, keepdims=True)
     return shifted
@@ -335,7 +342,18 @@ def avgpool_width(t: np.ndarray, factor: int) -> np.ndarray:
     c, h, w = t.shape
     full, rest = divmod(w, factor)
     out = np.empty((c, h, full + (rest > 0)), dtype=np.float32)
-    out[:, :, :full] = t[:, :, : full * factor].reshape(c, h, full, factor).mean(axis=3)
+    windows = t[:, :, : full * factor]
+    if factor < 8:
+        # mean's order for fewer than 8 values: 0 + x0 + x1 + ... by index;
+        # whole-column adds skip the cost mean pays per window
+        body = out[:, :, :full]
+        np.add(windows[:, :, ::factor], np.float32(0), out=body)
+        for k in range(1, factor):
+            body += windows[:, :, k::factor]
+        body /= np.float32(factor)
+    else:
+        # numpy's pairwise sum reorders the adds from 8 values on
+        out[:, :, :full] = windows.reshape(c, h, full, factor).mean(axis=3)
     if rest:
         out[:, :, full] = t[:, :, full * factor :].mean(axis=2)
     return out
@@ -369,11 +387,14 @@ def bilinear_upsample(
         raise ValueError("target extents must not shrink the input")
     y0, y1, fy = _linear_coords(h, out_h)
     x0, x1, fx = _linear_coords(w, out_w)
-    r0 = t[:, y0, :]
-    rows = r0 + fy[None, :, None] * (t[:, y1, :] - r0)
+    # np.take gathers in C order, where a fancy index such as t[:, y0, :]
+    # puts the gathered axis outermost in memory and every later pass over
+    # the result runs against the grain; the values are the same
+    r0 = np.take(t, y0, axis=1)
+    rows = r0 + fy[None, :, None] * (np.take(t, y1, axis=1) - r0)
     # c0 + fx * (c1 - c0), with c0 gathered straight into the result
     out = np.take(rows, x0, axis=2, out=out)
-    step = rows[:, :, x1]
+    step = np.take(rows, x1, axis=2)
     step -= out
     step *= fx
     out += step

@@ -76,26 +76,38 @@ def _softmax_by_maximum(t, axis):
     return shifted
 
 
+# the line lengths the pipeline runs, where numpy's plain row max takes
+# another loop, and two that are not multiples of 16
+ROW_LENGTHS = (9, 16, 32, 40, 64, 128)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_softmax_rows_with_neg_inf_keep_the_maximum_bytes():
-    # masked logits: rows with some, most and all entries at -inf
-    t = (Rng(23).generator.random((3, 5, 40), dtype=F32) - 0.5) * 60
-    t[0, :, ::3] = -np.inf
-    t[1, :, 1:] = -np.inf
-    t[2, 2] = -np.inf
-    for axis in (2, 1):
-        assert softmax_axis(t, axis).tobytes() == _softmax_by_maximum(t, axis).tobytes()
+    for n in ROW_LENGTHS:
+        # masked logits: rows with some, most and all entries at -inf
+        t = (Rng(23).generator.random((3, 5, n), dtype=F32) - 0.5) * 60
+        t[0, :, ::3] = -np.inf
+        t[1, :, 1:] = -np.inf
+        t[2, 2] = -np.inf
+        for lines, axis in ((t, 2), (np.ascontiguousarray(t.swapaxes(1, 2)), 1)):
+            got = softmax_axis(lines, axis)
+            assert got.tobytes() == _softmax_by_maximum(lines, axis).tobytes(), (n, axis)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_softmax_nan_input_gives_an_all_nan_row():
-    t = Rng(24).generator.random((4, 9), dtype=F32)
-    t[1, 3] = np.nan
-    t[3] = np.nan
-    out = softmax_axis(t, 1)
-    assert np.isnan(out[[1, 3]]).all()
-    assert not np.isnan(out[[0, 2]]).any()
-    assert out[[0, 2]].tobytes() == _softmax_by_maximum(t[[0, 2]], 1).tobytes()
+    for n in ROW_LENGTHS:
+        t = Rng(24).generator.random((4, n), dtype=F32)
+        t[1, 3] = np.nan
+        t[3] = np.nan
+        for lines, axis in ((t, 1), (np.ascontiguousarray(t.T), 0)):
+            got = softmax_axis(lines, axis)
+            rows = got if axis == 1 else got.T
+            assert np.isnan(rows[[1, 3]]).all(), (n, axis)
+            assert not np.isnan(rows[[0, 2]]).any(), (n, axis)
+            finite = ~np.isnan(got)
+            want = _softmax_by_maximum(lines, axis)
+            assert got[finite].tobytes() == want[finite].tobytes(), (n, axis)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -346,6 +358,16 @@ def test_avgpool_equals_window_by_window_means():
         assert avgpool_width(x, factor).tobytes() == np.stack(windows, axis=2).tobytes()
 
 
+def test_avgpool_negative_zero_windows_keep_the_mean_bytes():
+    # mean sums from +0.0, so a window of -0.0 alone averages to +0.0
+    x = seeded_normal(Rng(7), (2, 3, 2 * 3 * 4 * 5 * 7 * 8 + 3), 1.0)
+    x[:, 1] = -0.0
+    x[0, 2, :9] = -0.0
+    for factor in range(1, 10):
+        windows = [x[:, :, j : j + factor].mean(axis=2) for j in range(0, x.shape[2], factor)]
+        assert avgpool_width(x, factor).tobytes() == np.stack(windows, axis=2).tobytes()
+
+
 def test_avgpool_constant_stays_constant():
     x = np.full((1, 2, 7), 3.25, dtype=F32)
     for factor in (1, 2, 3, 7, 10):
@@ -384,6 +406,46 @@ def test_upsample_rejects_bad_targets():
         bilinear_upsample(x, 0, 4)
     with pytest.raises(ValueError):
         bilinear_upsample(x, 1, 4)
+
+
+def _upsample_by_fancy_index(t, out_h, out_w):
+    # the blend as written before np.take: row and c1 gathers by fancy index
+    h, w = t.shape[1:]
+    y0, y1, fy = ndarray._linear_coords(h, out_h)
+    x0, x1, fx = ndarray._linear_coords(w, out_w)
+    r0 = t[:, y0, :]
+    rows = r0 + fy[None, :, None] * (t[:, y1, :] - r0)
+    out = np.take(rows, x0, axis=2)
+    step = rows[:, :, x1]
+    step -= out
+    step *= fx
+    out += step
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape, out_h, out_w",
+    [
+        ((128, 32, 16), 32, 64),  # fusion: the context payload onto the grid
+        ((2, 32, 64), 128, 256),  # refinement, default_m3
+        ((2, 16, 128), 64, 512),  # refinement, wide_m2
+        ((3, 5, 7), 13, 18),  # factors that are not integers
+        ((2, 6, 9), 6, 9),  # same extents: both blends still run
+    ],
+    ids=["fusion", "refine_default", "refine_wide", "fractional", "same_extents"],
+)
+def test_upsample_bytes_match_the_fancy_index_blend(shape, out_h, out_w):
+    t = seeded_normal(Rng(29), shape, 1.0)
+    # a -0.0 that the height blend turns into +0.0, even at out_h == h
+    t[0, 0, 0], t[0, 1, 0], t[0, 0, 1] = -0.0, 1.0, -1.0
+    want = _upsample_by_fancy_index(t, out_h, out_w)
+    assert bilinear_upsample(t, out_h, out_w).tobytes() == want.tobytes()
+    # out= set to a channel slice of a larger buffer, as fusion passes it
+    buffer = np.full((shape[0] + 5, out_h, out_w), 7.0, dtype=F32)
+    dest = buffer[5:]
+    assert bilinear_upsample(t, out_h, out_w, out=dest) is dest
+    assert dest.tobytes() == want.tobytes()
+    assert (buffer[:5] == 7.0).all()
 
 
 def test_upsample_mean_preserved_for_constant():
