@@ -12,7 +12,6 @@ from .attention import (
     cross_attention,
     cross_scores,
     pixel_norm,
-    relative_logits,
 )
 from .context import (
     ContextState,

@@ -50,9 +50,6 @@ The length guard therefore runs before the slice, and longer lines are
 rejected rather than extrapolated. Each public operation that updates
 features adds a residual connection around the attention update; stream
 normalization between sublayers is the caller's job (see pixel_norm).
-Logits are built in one loop, ``_logits_by_head``: the feature updates
-softmax each head's logits, and cross_scores averages them into the matching
-scores, the only scores the module returns.
 
 Lines never mix. The projections are one 2-D GEMM over all tokens of a
 piece of lines, in which each token's row gets the bytes of its own line's
@@ -60,14 +57,18 @@ product (tests pin this for 1-32 lines of 8-128 tokens at 128 and 512
 channels). The other products are batched over lines, which numpy runs as
 one GEMM per line, and every softmax reduction runs along one row. A call
 over some of the lines therefore gives each of them the bytes it gets in a
-call over all of them. The feature updates and ``cross_scores`` use this
-to run their lines in pieces of at most ``_PIECE_BYTES`` of queries, and
-build what does not depend on the lines once per call: each head's window
-products, their transposes and block views, and the buffers the position
-products go to. ``cross_attention`` runs its two directions as two tasks
-(``ndarray._both``) once the checks of both have run on the calling
-thread, and ``cross_scores`` the two halves of its lines; the bytes do not
-depend on the thread.
+call over all of them. One loop, ``_pieces``, runs the lines in pieces of
+at most ``_PIECE_BYTES`` of queries, after building what does not depend on
+the lines once per call: each head's window products, their transposes and
+block views, and the buffers the position products go to. Per piece it
+projects the queries and keys and hands out the piece's logits head by head
+from ``_logits_by_head``, the one place logits are built. The feature
+updates softmax each head's logits against its values; ``cross_scores``
+sums them into the matching scores, the only scores the module returns.
+Each public operation checks the heads, the line length and the mask once
+on the calling thread. ``cross_attention`` then runs its two directions as
+two tasks (``ndarray._both``), and ``cross_scores`` the two halves of its
+lines; the bytes do not depend on the thread.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ __all__ = [
     "PathWeights",
     "ScoreWeights",
     "ScoreMatrix",
-    "relative_logits",
     "axial_attention_width",
     "axial_attention_height",
     "cross_attention",
@@ -129,8 +129,8 @@ class _Projections:
 class ScoreWeights(_Projections):
     """What the logits read: the query and key projections and the
     position table. The last layer's cross attention computes only its
-    scores, so its weights are of this type (``relative_logits`` and
-    ``cross_scores`` take either type)."""
+    scores, so its weights are of this type (``cross_scores`` takes either
+    type)."""
 
     Wq: np.ndarray
     Wk: np.ndarray
@@ -191,6 +191,8 @@ _BLOCK = _PIXEL_BLOCK
 # 13-20% faster than 512 KB ones and 14-19% faster than 1 MB ones, and hold
 # less; 64 KB pieces ran 14-28% slower.
 _PIECE_BYTES = 256 << 10
+# Added to each pixel's channel variance before pixel_norm divides by its root.
+_NORM_EPS = np.float32(1e-5)
 
 
 def _check_heads(weights: _Projections, heads: int) -> int:
@@ -347,56 +349,6 @@ def _head_operands(
     return operands
 
 
-def _head_logits(
-    q: np.ndarray,
-    k: np.ndarray,
-    operands: tuple,
-    logits: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Scaled, masked (lines, n, m) logits of one head from its (lines, n|m, ch)
-    query/key slices and its pair of ``_head_operands``, written to and
-    returned as ``logits``."""
-    by_query, by_key = operands
-    np.matmul(q, k.transpose(0, 2, 1), out=logits)
-    _add_position_term(logits, q, by_query, by_key=False)
-    _add_position_term(logits, k, by_key, by_key=True)
-    logits /= np.float32(math.sqrt(q.shape[2]))
-    if mask is not None:
-        logits += mask
-    return logits
-
-
-def relative_logits(
-    x: np.ndarray,
-    weights: ScoreWeights | AttentionWeights,
-    head: int,
-    keys: np.ndarray | None = None,
-) -> np.ndarray:
-    """Three-term attention logits for one head over an (n, c) token line.
-
-    ``keys`` switches the key/value source for cross-attention; it defaults
-    to ``x`` (self-attention).
-    """
-    xk = x if keys is None else keys
-    if x.ndim != 2 or xk.ndim != 2 or x.shape[1] != xk.shape[1]:
-        raise ValueError("relative_logits expects (n, c) token lines")
-    c = weights.channels
-    if x.shape[1] != c:
-        raise ValueError(f"token width {x.shape[1]} != weight channels {c}")
-    ch = weights.rel_pos.shape[1]
-    heads = c // ch
-    if not 0 <= head < heads:
-        raise ValueError(f"head {head} out of range for {heads} heads")
-    n, m = x.shape[0], xk.shape[0]
-    table = _window(weights, n, m)
-    hs = slice(head * ch, (head + 1) * ch)
-    q = (x @ weights.Wq)[None, :, hs]
-    k = (xk @ weights.Wk)[None, :, hs]
-    operands = _head_operands(table, weights, ch, n, m, 1)[head]
-    return _head_logits(q, k, operands, np.empty((1, n, m), dtype=np.float32))[0]
-
-
 def _checked_window(
     weights: _Projections, heads: int, n: int, m: int, mask: np.ndarray | None
 ) -> tuple[int, np.ndarray]:
@@ -414,57 +366,70 @@ def _logits_by_head(
     operands: list[tuple],
     mask: np.ndarray | None,
 ):
-    """Lazy (head slice, masked logits) pairs in head order, from the
-    projected (lines, n|m, c) queries and keys and the call's
+    """Lazy (head slice, scaled and masked logits) pairs in head order, from
+    the projected (lines, n|m, c) queries and keys and the call's
     ``_head_operands``. The one place logits are built. Every head's logits
     reuse one buffer, so each pair must be used before the next is drawn."""
-    ch = q_all.shape[2] // len(operands)
-    logits = np.empty((len(q_all), q_all.shape[1], k_all.shape[1]), dtype=np.float32)
-    for head, pair in enumerate(operands):
+    lines, n, c = q_all.shape
+    ch = c // len(operands)
+    logits = np.empty((lines, n, k_all.shape[1]), dtype=np.float32)
+    for head, (by_query, by_key) in enumerate(operands):
         hs = slice(head * ch, (head + 1) * ch)
-        yield hs, _head_logits(q_all[..., hs], k_all[..., hs], pair, logits, mask)
+        q, k = q_all[..., hs], k_all[..., hs]
+        np.matmul(q, k.transpose(0, 2, 1), out=logits)
+        _add_position_term(logits, q, by_query, by_key=False)
+        _add_position_term(logits, k, by_key, by_key=True)
+        logits /= np.float32(math.sqrt(ch))
+        if mask is not None:
+            logits += mask
+        yield hs, logits
 
 
-def _project(x_q: np.ndarray, x_kv: np.ndarray, weights: AttentionWeights) -> tuple:
-    """(lines, n|m, c) query, key and value projections of (lines, n|m, c)
-    token stacks, each one 2-D GEMM over all tokens of its stack."""
-    c = x_q.shape[2]
-    x2 = x_kv.reshape(-1, c)
-    return (
-        (x_q.reshape(-1, c) @ weights.Wq).reshape(x_q.shape),
-        (x2 @ weights.Wk).reshape(x_kv.shape),
-        (x2 @ weights.Wv).reshape(x_kv.shape),
-    )
+def _project(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """(lines, n, c) projection of a (lines, n, c) token stack, one 2-D GEMM
+    over all its tokens."""
+    c = x.shape[2]
+    return (x.reshape(-1, c) @ matrix).reshape(x.shape)
+
+
+def _pieces(x_q, x_kv, weights, ch, table, mask):
+    """The loop over pieces of lines (see the module docstring): per piece,
+    its slice of the lines, its projected queries and its
+    ``_logits_by_head``, from the ``ch`` and ``table`` of ``_checked_window``."""
+    lines, n = x_q.shape[:2]
+    step = max(1, _PIECE_BYTES // x_q[0].nbytes)
+    operands = _head_operands(table, weights, ch, n, x_kv.shape[1], min(step, lines))
+    for lo in range(0, lines, step):
+        part = slice(lo, lo + step)
+        q_all = _project(x_q[part], weights.Wq)
+        k_all = _project(x_kv[part], weights.Wk)
+        yield part, q_all, _logits_by_head(q_all, k_all, operands, mask)
 
 
 def _multihead(
     x_q: np.ndarray,
     x_kv: np.ndarray,
     weights: AttentionWeights,
-    heads: int,
+    ch: int,
+    table: np.ndarray,
     mask: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched attention over (lines, n, c) token stacks; returns the
-    pre-residual update, computed in pieces of lines (see the module
-    docstring). The caller checks ``mask``. The update goes to ``out`` if
-    given, which self-attention may point at ``x_q``: a piece's update is
-    written after its last read of its own lines."""
-    lines, n, c = x_q.shape
-    m = x_kv.shape[1]
-    ch, table = _checked_window(weights, heads, n, m, None)
+    pre-residual update. The caller runs ``_checked_window`` and passes in
+    its ``ch`` and ``table``. The update goes to ``out`` if given, which
+    self-attention may point at ``x_q``: a piece's update is written after
+    its last read of its own lines."""
+    c = x_q.shape[2]
     if out is None:
         out = np.empty(x_q.shape, dtype=np.float32)
-    tokens = out.reshape(-1, c)
-    step = max(1, _PIECE_BYTES // x_q[0].nbytes)
-    operands = _head_operands(table, weights, ch, n, m, min(step, lines))
-    for lo in range(0, lines, step):
-        q_all, k_all, v_all = _project(x_q[lo : lo + step], x_kv[lo : lo + step], weights)
-        for hs, logits in _logits_by_head(q_all, k_all, operands, mask):
+    for part, q_all, heads in _pieces(x_q, x_kv, weights, ch, table, mask):
+        v_all = _project(x_kv[part], weights.Wv)
+        for hs, logits in heads:
             # a head's output replaces its own query columns, which only its
             # logits read
             np.matmul(softmax_axis(logits, axis=2), v_all[..., hs], out=q_all[..., hs])
-        np.matmul(q_all.reshape(-1, c), weights.Wo, out=tokens[lo * n : (lo + step) * n])
+        np.matmul(q_all.reshape(-1, c), weights.Wo, out=out[part].reshape(-1, c))
     return out
 
 
@@ -477,8 +442,9 @@ def axial_attention_width(
     """
     if f.ndim != 3 or f.shape[0] != weights.channels:
         raise ValueError(f"feature shape {f.shape} does not match weights")
+    ch, table = _checked_window(weights, heads, f.shape[2], f.shape[2], None)
     rows = f.transpose(1, 2, 0).copy()  # a private copy takes the update
-    return f + _multihead(rows, rows, weights, heads, out=rows).transpose(2, 0, 1)
+    return f + _multihead(rows, rows, weights, ch, table, out=rows).transpose(2, 0, 1)
 
 
 def axial_attention_height(
@@ -487,8 +453,9 @@ def axial_attention_height(
     """Column-wise twin of axial_attention_width."""
     if f.ndim != 3 or f.shape[0] != weights.channels:
         raise ValueError(f"feature shape {f.shape} does not match weights")
+    ch, table = _checked_window(weights, heads, f.shape[1], f.shape[1], None)
     cols = f.transpose(2, 1, 0).copy()
-    return f + _multihead(cols, cols, weights, heads, out=cols).transpose(2, 1, 0)
+    return f + _multihead(cols, cols, weights, ch, table, out=cols).transpose(2, 1, 0)
 
 
 def _epipolar_rows(
@@ -505,9 +472,9 @@ def _epipolar_rows(
     )
 
 
-def _attend_across(f, rows_q, rows_kv, weights, heads, mask) -> np.ndarray:
+def _attend_across(f, rows_q, rows_kv, weights, ch, table, mask) -> np.ndarray:
     # one direction of cross_attention: the query image's map plus its update
-    return f + _multihead(rows_q, rows_kv, weights, heads, mask).transpose(2, 0, 1)
+    return f + _multihead(rows_q, rows_kv, weights, ch, table, mask).transpose(2, 0, 1)
 
 
 def cross_attention(
@@ -532,27 +499,21 @@ def cross_attention(
     rows_l, rows_r = _epipolar_rows(left, right, weights)
     mask_t = None if mask is None else np.ascontiguousarray(mask.T)
     n = rows_l.shape[1]
-    _checked_window(weights, heads, n, n, mask)
+    ch, table = _checked_window(weights, heads, n, n, mask)
     _check_mask(mask_t, n, n)
     return _both(
         _attend_across,
-        (left, rows_l, rows_r, weights, heads, mask),
-        (right, rows_r, rows_l, weights, heads, mask_t),
+        (left, rows_l, rows_r, weights, ch, table, mask),
+        (right, rows_r, rows_l, weights, ch, table, mask_t),
         left.size,
     )
 
 
 def _add_scores(scores, rows_l, rows_r, weights, ch, table, mask) -> None:
-    # the heads' logits of some lines, summed in head order into their
-    # scores, in pieces of lines as in _multihead
-    lines, n, c = rows_l.shape
-    step = max(1, _PIECE_BYTES // rows_l[0].nbytes)
-    operands = _head_operands(table, weights, ch, n, rows_r.shape[1], min(step, lines))
-    for lo in range(0, lines, step):
-        x_q, x_k, total = rows_l[lo : lo + step], rows_r[lo : lo + step], scores[lo : lo + step]
-        q_all = (x_q.reshape(-1, c) @ weights.Wq).reshape(x_q.shape)
-        k_all = (x_k.reshape(-1, c) @ weights.Wk).reshape(x_k.shape)
-        for _, logits in _logits_by_head(q_all, k_all, operands, mask):
+    # the heads' logits of some lines, summed in head order into their scores
+    for part, _, heads in _pieces(rows_l, rows_r, weights, ch, table, mask):
+        total = scores[part]
+        for _, logits in heads:
             total += logits
 
 
@@ -587,12 +548,12 @@ def cross_scores(
     return ScoreMatrix(scores)
 
 
-def pixel_norm(f: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def pixel_norm(f: np.ndarray) -> np.ndarray:
     """Normalize every pixel's channel vector to zero mean / unit variance."""
     # the ufunc reductions and division are exactly what ``mean`` computes
     c = np.float32(f.shape[0])
     d = f - np.add.reduce(f, axis=0, keepdims=True) / c
     var = np.add.reduce(d * d, axis=0, keepdims=True) / c
-    var += np.float32(eps)
+    var += _NORM_EPS
     d /= np.sqrt(var, out=var)
     return d

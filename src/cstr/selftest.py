@@ -17,9 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import ndarray as nd
-from .attention import AttentionWeights, PathWeights, cross_attention, cross_scores
-from .attention import axial_attention_height, axial_attention_width, pixel_norm
-from .attention import relative_logits
+from .attention import AttentionWeights, PathWeights, ScoreWeights, cross_attention
+from .attention import axial_attention_height, axial_attention_width, cross_scores, pixel_norm
 from .context import cep_step, make_context_features
 from .formats import (
     FormatError,
@@ -47,6 +46,7 @@ __all__ = [
     "run_all",
     "random_attention_weights",
     "random_path_weights",
+    "dense_logits_oracle",
     "dense_attention_oracle",
     "per_line_cross_scores",
     "reference_sinkhorn",
@@ -75,6 +75,37 @@ def random_path_weights(rng: Rng, c: int, heads: int, span: int) -> PathWeights:
     return PathWeights(*(random_attention_weights(rng, c, heads, span) for _ in range(3)))
 
 
+def dense_logits_oracle(
+    x_q: np.ndarray,
+    x_kv: np.ndarray,
+    w: ScoreWeights | AttentionWeights,
+    heads: int,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Float64 (heads, n, m) scaled, masked attention logits over one token
+    line, one query row at a time.
+
+    Every logit gathers the embedding of its own offset j-i directly.
+    """
+    n, c = x_q.shape
+    m = x_kv.shape[0]
+    ch = c // heads
+    xq = x_q.astype(np.float64)
+    xk = x_kv.astype(np.float64)
+    wq, wk = w.Wq.astype(np.float64), w.Wk.astype(np.float64)
+    rel = w.rel_pos.astype(np.float64)
+    logits = np.empty((heads, n, m))
+    for h in range(heads):
+        hs = slice(h * ch, (h + 1) * ch)
+        q, k = xq @ wq[:, hs], xk @ wk[:, hs]
+        # per-offset embeddings through the head's query and key blocks
+        pq, pk = rel @ wq[hs, hs], rel @ wk[hs, hs]
+        for i in range(n):
+            r = np.arange(m) - i + w.span - 1  # offset row of each key j
+            logits[h, i] = (k @ q[i] + pk[r] @ q[i] + (pq[r] * k).sum(axis=1)) / np.sqrt(ch)
+    return logits if mask is None else logits + mask
+
+
 def dense_attention_oracle(
     x_q: np.ndarray,
     x_kv: np.ndarray,
@@ -82,60 +113,31 @@ def dense_attention_oracle(
     heads: int,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Float64 dense attention over one token line, one query row at a time.
-
-    Every logit gathers the embedding of its own offset j-i directly.
-    """
-    n, c = x_q.shape
-    m = x_kv.shape[0]
-    ch = c // heads
-    span = w.span
-    xq = x_q.astype(np.float64)
-    xk = x_kv.astype(np.float64)
-    wq, wk = w.Wq.astype(np.float64), w.Wk.astype(np.float64)
-    wv, wo = w.Wv.astype(np.float64), w.Wo.astype(np.float64)
-    rel = w.rel_pos.astype(np.float64)
-    out = np.zeros((n, c))
-    for h in range(heads):
+    """Float64 dense attention over one token line: each head's
+    ``dense_logits_oracle`` rows, softmaxed, weight that head's values."""
+    ch = x_q.shape[1] // heads
+    v = x_kv.astype(np.float64) @ w.Wv.astype(np.float64)
+    out = np.empty(x_q.shape)
+    for h, logits in enumerate(dense_logits_oracle(x_q, x_kv, w, heads, mask)):
         hs = slice(h * ch, (h + 1) * ch)
-        q, k, v = xq @ wq[:, hs], xk @ wk[:, hs], xk @ wv[:, hs]
-        # per-offset embeddings through the head's query and key blocks
-        pq, pk = rel @ wq[hs, hs], rel @ wk[hs, hs]
-        for i in range(n):
-            r = np.arange(m) - i + span - 1  # offset row of each key j
-            row = (k @ q[i] + pk[r] @ q[i] + (pq[r] * k).sum(axis=1)) / np.sqrt(ch)
-            if mask is not None:
-                row = row + mask[i]
-            e = np.exp(row - row.max())
-            out[i, hs] = (e / e.sum()) @ v
-    return out @ wo
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        out[:, hs] = (e / e.sum(axis=1, keepdims=True)) @ v[:, hs]
+    return out @ w.Wo.astype(np.float64)
 
 
 def per_line_cross_scores(
     left: np.ndarray,
     right: np.ndarray,
-    w: AttentionWeights,
+    w: ScoreWeights | AttentionWeights,
     heads: int,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Head-averaged masked left-query logits of two (c, h, w) maps, one
-    epipolar line and one head at a time through ``relative_logits``.
-
-    The heads are summed in head order into zeros, then divided by the head
-    count, as ``cross_scores`` does for all lines at once.
-    """
-    h = left.shape[1]
-    out = np.empty((h, left.shape[2], right.shape[2]), dtype=np.float32)
-    for y in range(h):
-        lq, rk = left[:, y, :].T, right[:, y, :].T
-        total = np.zeros(out.shape[1:], dtype=np.float32)
-        for head in range(heads):
-            logits = relative_logits(lq, w, head, keys=rk)
-            if mask is not None:
-                logits += mask
-            total += logits
-        out[y] = total / np.float32(heads)
-    return out
+    """Float64 head-averaged masked left-query logits of two (c, h, w) maps,
+    one epipolar line at a time through ``dense_logits_oracle``."""
+    return np.stack([
+        dense_logits_oracle(left[:, y].T, right[:, y].T, w, heads, mask).mean(axis=0)
+        for y in range(left.shape[1])
+    ])
 
 
 def check_softmax_normalization() -> tuple[bool, str]:
@@ -398,26 +400,26 @@ def check_image_tasks_match_one_thread() -> tuple[bool, str]:
 
 
 def check_position_encoding_structure() -> tuple[bool, str]:
+    # through cross_scores on one line: with zero embeddings the scores are
+    # the content logits, summed in head order and averaged; with zero
+    # content they are zero
     rng = Rng(24)
     c, heads, span, n = 8, 2, 12, 6
     ch = c // heads
     weights = random_attention_weights(rng, c, heads, span)
     x = seeded_normal(rng, (n, c), 1.0)
-    zero_rel = AttentionWeights(
-        weights.Wq, weights.Wk, weights.Wv, weights.Wo,
-        np.zeros_like(weights.rel_pos),
-    )
-    for head in range(heads):
-        hs = slice(head * ch, (head + 1) * ch)
-        content = ((x @ weights.Wq)[:, hs] @ (x @ weights.Wk)[:, hs].T) / np.float32(
-            np.sqrt(ch)
-        )
-        got = relative_logits(x, zero_rel, head)
-        if not np.array_equal(got, content):
-            return False, f"head {head}: zero embeddings leave a position term"
-        got_zero = relative_logits(np.zeros_like(x), weights, head)
-        if not np.array_equal(got_zero, np.zeros((n, n), dtype=np.float32)):
-            return False, f"head {head}: zero content gives nonzero logits"
+    zero_rel = ScoreWeights(weights.Wq, weights.Wk, np.zeros_like(weights.rel_pos))
+    q, k = x @ weights.Wq, x @ weights.Wk
+    content = np.zeros((n, n), dtype=np.float32)
+    for hs in (slice(lo, lo + ch) for lo in range(0, c, ch)):
+        content += (q[:, hs] @ k[:, hs].T) / np.float32(np.sqrt(ch))
+    content /= np.float32(heads)
+    line = x.T[:, None]  # a (c, 1, n) map
+    if not np.array_equal(cross_scores(line, line, zero_rel, heads).logits[0], content):
+        return False, "zero embeddings leave a position term"
+    zero = np.zeros_like(line)
+    if np.any(cross_scores(zero, zero, weights, heads).logits):
+        return False, "zero content gives nonzero logits"
     return True, "content-only and zero-content identities hold exactly"
 
 

@@ -15,7 +15,6 @@ from cstr import (
     cross_scores,
     epipolar_mask,
     pixel_norm,
-    relative_logits,
     seeded_normal,
 )
 from cstr import attention, ndarray
@@ -25,45 +24,49 @@ from cstr.selftest import random_attention_weights
 F32 = np.float32
 
 
-# --- relative_logits structure ---
+# --- logits structure, through cross_scores on one line ---
+
+
+def one_line(x):
+    # an (n, c) token line as a (c, 1, n) map
+    return x.T[:, None]
 
 
 def test_zero_rel_pos_reduces_to_content():
+    # the content logits summed in head order, then averaged, exactly
     rng = Rng(1)
-    c, heads = 6, 3
-    w = random_attention_weights(rng, c, heads, span=8)
-    w = AttentionWeights(w.Wq, w.Wk, w.Wv, w.Wo, np.zeros_like(w.rel_pos))
-    x = seeded_normal(rng, (5, c), 1.0)
-    ch = c // heads
-    for head in range(heads):
-        hs = slice(head * ch, (head + 1) * ch)
-        content = ((x @ w.Wq)[:, hs] @ (x @ w.Wk)[:, hs].T) / F32(np.sqrt(ch))
-        np.testing.assert_array_equal(relative_logits(x, w, head), content)
+    for c, heads, n in ((6, 3, 5), (16, 4, 33)):
+        w = random_attention_weights(rng, c, heads, span=max(8, n))
+        w = ScoreWeights(w.Wq, w.Wk, np.zeros_like(w.rel_pos))
+        x = seeded_normal(rng, (n, c), 1.0)
+        ch = c // heads
+        want = np.zeros((n, n), dtype=F32)
+        for head in range(heads):
+            hs = slice(head * ch, (head + 1) * ch)
+            want += ((x @ w.Wq)[:, hs] @ (x @ w.Wk)[:, hs].T) / F32(np.sqrt(ch))
+        want /= F32(heads)
+        line = one_line(x)
+        np.testing.assert_array_equal(cross_scores(line, line, w, heads).logits[0], want)
 
 
 def test_zero_content_gives_zero_logits():
-    rng = Rng(2)
-    w = random_attention_weights(rng, 4, 2, span=8)
-    x = np.zeros((6, 4), dtype=F32)
-    for head in range(2):
-        np.testing.assert_array_equal(
-            relative_logits(x, w, head), np.zeros((6, 6), dtype=F32)
-        )
+    w = random_attention_weights(Rng(2), 4, 2, span=8)
+    zero = np.zeros((4, 1, 6), dtype=F32)
+    got = cross_scores(zero, zero, w, 2).logits
+    np.testing.assert_array_equal(got, np.zeros((1, 6, 6), dtype=F32))
 
 
-def test_relative_logits_hand_case():
+def test_cross_scores_hand_case():
     # n=2, c=1, single head: every projection is a scalar
     wq, wk, r_m1, r_0, r_p1 = 2.0, 3.0, 0.5, -0.25, 1.5
-    w = AttentionWeights(
+    w = ScoreWeights(
         Wq=np.array([[wq]], dtype=F32),
         Wk=np.array([[wk]], dtype=F32),
-        Wv=np.array([[1.0]], dtype=F32),
-        Wo=np.array([[1.0]], dtype=F32),
         rel_pos=np.array([[r_m1], [r_0], [r_p1]], dtype=F32),
     )
     x0, x1 = 0.7, -1.1
-    x = np.array([[x0], [x1]], dtype=F32)
-    got = relative_logits(x, w, 0)
+    line = one_line(np.array([[x0], [x1]], dtype=F32))
+    got = cross_scores(line, line, w, 1).logits[0]
 
     def term(xi, xj, r):
         return (xi * wq) * (xj * wk) + (xi * wq) * (r * wk) + (r * wq) * (xj * wk)
@@ -75,20 +78,12 @@ def test_relative_logits_hand_case():
     np.testing.assert_allclose(got, want, rtol=1e-6)
 
 
-def test_relative_logits_rejects_long_lines():
-    w = random_attention_weights(Rng(3), 4, 2, span=4)
-    x = np.zeros((5, 4), dtype=F32)
-    with pytest.raises(ValueError):
-        relative_logits(x, w, 0)
-
-
-def test_relative_logits_with_keys_matches_dense_oracle():
-    from cstr import softmax_axis
-
+def test_multihead_over_other_key_counts_matches_dense_oracle():
+    # no public operation attends n queries over m != n keys, but the
+    # window, the position operands and the product size support it
+    c, heads = 8, 2
     # n != m in both directions, up to the whole window (n or m = span); the
     # span-64 pairs hold several 16-row position blocks and ragged tails
-    c, heads = 8, 2
-    ch = c // heads
     pairs = [(6, p) for p in ((2, 5), (5, 2), (1, 6), (6, 1), (6, 5))]
     pairs += [(64, p) for p in ((40, 17), (17, 40), (1, 64), (64, 1))]
     for span, (n, m) in pairs:
@@ -96,15 +91,11 @@ def test_relative_logits_with_keys_matches_dense_oracle():
         rng = Rng(100 + 10 * n + m)
         x = seeded_normal(rng, (n, c), 1.0)
         keys = seeded_normal(rng, (m, c), 1.0)
-        v = keys @ w.Wv
-        out = np.empty((n, c), dtype=F32)
-        for head in range(heads):
-            hs = slice(head * ch, (head + 1) * ch)
-            logits = relative_logits(x, w, head, keys=keys)
-            assert logits.shape == (n, m)
-            out[:, hs] = softmax_axis(logits, axis=1) @ v[:, hs]
+        ch, table = attention._checked_window(w, heads, n, m, None)
+        got = attention._multihead(x[None], keys[None], w, ch, table)
+        assert got.shape == (1, n, c)
         want = dense_attention_oracle(x, keys, w, heads)
-        np.testing.assert_allclose(out @ w.Wo, want, atol=1e-5)
+        np.testing.assert_allclose(got[0], want, atol=1e-5)
 
 
 # --- axial attention ---
@@ -271,6 +262,13 @@ def test_lines_longer_than_span_rejected():
         cross_attention(long_rows, long_rows, w, heads)
 
 
+def test_cross_scores_rejects_long_lines():
+    w = random_attention_weights(Rng(3), 4, 2, span=4)
+    long_rows = np.zeros((4, 1, 5), dtype=F32)
+    with pytest.raises(ValueError, match="exceeds the position-embedding span"):
+        cross_scores(long_rows, long_rows, w, 2)
+
+
 # --- cross attention ---
 
 
@@ -359,11 +357,16 @@ def test_cross_scores_bytes_equal_cross_attention_scores(length, heads, masked):
     left = seeded_normal(rng, (c, 3, length), 1.0)
     right = seeded_normal(rng, (c, 3, length), 1.0)
     mask = epipolar_mask(length, length) if masked else None
-    # the left-query logits of cross_attention, summed line by line
-    want = per_line_cross_scores(left, right, w, heads, mask)
     got = cross_scores(left, right, w, heads, mask).logits
+    # lines never mix: each line alone gives the bytes it gets among all
+    want = np.concatenate(
+        [cross_scores(left[:, y : y + 1], right[:, y : y + 1], w, heads, mask).logits
+         for y in range(3)]
+    )
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    oracle = per_line_cross_scores(left, right, w, heads, mask)
+    np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-5)
 
 
 def test_score_weights_give_the_scores_of_the_full_weights():
@@ -377,10 +380,6 @@ def test_score_weights_give_the_scores_of_the_full_weights():
     mask = epipolar_mask(length, length)
     want = cross_scores(left, right, w, heads, mask).logits
     assert cross_scores(left, right, scores_only, heads, mask).logits.tobytes() == want.tobytes()
-    line = left[:, 0, :].T
-    for head in range(heads):
-        want = relative_logits(line, w, head)
-        assert relative_logits(line, scores_only, head).tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="Wk must be"):
         ScoreWeights(w.Wq, w.Wk[:4], w.rel_pos)
 
@@ -441,7 +440,8 @@ def test_multihead_split_bytes_equal_serial(two_way, monkeypatch, lines, length,
     # give the bytes of one piece of all lines on one thread
     x_q, x_kv, w, heads = split_case(lines, length, seed=length)
     mask = epipolar_mask(length, length) if masked else None
-    args = (x_q, x_kv, w, heads, mask)
+    ch, table = attention._checked_window(w, heads, length, length, mask)
+    args = (x_q, x_kv, w, ch, table, mask)
     monkeypatch.setattr(attention, "_PIECE_BYTES", x_q.nbytes)
     whole = attention._multihead(*args).tobytes()
     runs = two_way(True)
@@ -457,20 +457,16 @@ def test_multihead_split_bytes_equal_serial(two_way, monkeypatch, lines, length,
 @pytest.mark.parametrize("lines", [1, 2, 3, 5, 32])
 def test_projections_equal_per_line_products(lines, length, c):
     # one 2-D GEMM over all tokens of a stack gives each line the bytes of
-    # its own product, for self- and cross-attention stacks
+    # its own product, for every projection
     w = random_attention_weights(Rng(130), c, 4, span=128)
     rng = Rng(131 + length)
     x_q = seeded_normal(rng, (lines, length, c), 1.0)
     x_kv = seeded_normal(rng, (lines, length, c), 1.0)
-    for stacks in ((x_q, x_q), (x_q, x_kv)):
-        got = attention._project(*stacks, w)
-        want = [
-            [x @ matrix for x in stack]
-            for stack, matrix in zip((stacks[0], stacks[1], stacks[1]), (w.Wq, w.Wk, w.Wv))
-        ]
-        for g, lines_want in zip(got, want):
-            assert g.shape == (lines, length, c)
-            assert [line.tobytes() for line in g] == [x.tobytes() for x in lines_want]
+    for stack in (x_q, x_kv):
+        for matrix in (w.Wq, w.Wk, w.Wv):
+            got = attention._project(stack, matrix)
+            assert got.shape == (lines, length, c)
+            assert [line.tobytes() for line in got] == [(x @ matrix).tobytes() for x in stack]
 
 
 def test_cross_scores_halves_as_two_tasks_equal_one_thread(two_way):

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,7 @@ from cstr import (
     WeightStore,
     backbone_forward,
     cross_attention,
+    cross_scores,
     cstr_layer,
     epipolar_mask,
     forward,
@@ -24,7 +28,6 @@ from cstr import (
     pad_pair_to_multiple,
     path_fusion,
     refine_full_res,
-    relative_logits,
     rgb_to_gray,
     seeded_normal,
     weight_spec,
@@ -32,7 +35,6 @@ from cstr import (
 import cstr.pipeline
 from cstr.pipeline import DEFAULT_SPAN, _axial_half, _layout, _line_plans
 from cstr.matching import regress_raw
-from cstr.selftest import per_line_cross_scores
 
 F32 = np.float32
 
@@ -241,7 +243,7 @@ def test_pad_pair_replicates_and_reports_original():
 
 def reference_scores(config, model, pair):
     """The matching scores: every layer but the last through cstr_layer,
-    then the last layer's axial half and the per-line reference score sum."""
+    then the last layer's axial half and its cross_scores line by line."""
     feat_l, feat_r, ctx = backbone_forward(pair, model)
     last = config.layers - 1
     for layer in range(last):
@@ -249,7 +251,11 @@ def reference_scores(config, model, pair):
     weights = model.layers[last].mmp
     left, right = _axial_half(feat_l, feat_r, weights, config.heads)
     mask = epipolar_mask(left.shape[2], right.shape[2])
-    return ScoreMatrix(per_line_cross_scores(left, right, weights.cross, config.heads, mask))
+    lines = [
+        cross_scores(left[:, y : y + 1], right[:, y : y + 1], weights.cross, config.heads, mask)
+        for y in range(left.shape[1])
+    ]
+    return ScoreMatrix(np.concatenate([line.logits for line in lines]))
 
 
 @pytest.mark.parametrize("strategy, calls", [("M1", 4), ("M2", 0), ("M3", 4)])
@@ -298,10 +304,8 @@ def test_identical_images_give_symmetric_prematch_logits():
     weights = model.layers[0].mmp
     stream = pixel_norm(axial_attention_width(feat_l, weights.wax, heads))
     stream = pixel_norm(axial_attention_height(stream, weights.hax, heads))
-    line = stream[:, 0, :].T
-    for head in range(heads):
-        logits = relative_logits(line, weights.cross, head)
-        np.testing.assert_allclose(logits, logits.T, atol=1e-5)
+    logits = cross_scores(stream, stream, weights.cross, heads).logits
+    np.testing.assert_allclose(logits, logits.transpose(0, 2, 1), atol=1e-5)
 
 
 def test_layer_out_of_range_rejected():
@@ -435,70 +439,53 @@ def test_forward_golden_transcript(tiny_model, tiny_pair):
     assert digest == GOLDEN_FORWARD
 
 
+def forward_in_fresh_process(config, span, shape, prints, setup="", threads=None):
+    """Words printed by a fresh Python process that runs ``setup``, then
+    forward on seed-0 weights of ``span`` for ``config`` (source text) and a
+    seed-0 random pair of ``shape``, then ``prints``, in which ``sha``
+    hashes bytes. ``threads`` pins the BLAS pool size."""
+    script = setup + (
+        "import hashlib, os, numpy as np\n"
+        "from cstr import ImagePair, ModelDescription, Rng, RunConfig, init_weights, forward\n"
+        "from cstr import ndarray\n"
+        f"config = {config}\n"
+        f"model = ModelDescription(config, init_weights(config, span={span}, seed=0))\n"
+        "rng = Rng(0)\n"
+        f"pair = ImagePair(rng.generator.random({shape}, dtype=np.float32),\n"
+        f"                 rng.generator.random({shape}, dtype=np.float32))\n"
+        "disp, occ, _ = forward(pair, model)\n"
+        "def sha(data): return hashlib.sha256(data).hexdigest()\n"
+    ) + prints
+    env = dict(os.environ)
+    if threads is not None:
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_forward_single_thread_process_reproduces_golden():
     # pin the BLAS pool to one thread in a fresh process; the transcript
     # hash must not move
-    import os
-    import subprocess
-    import sys
-
-    script = (
-        "import hashlib, numpy as np\n"
-        "from cstr import ImagePair, ModelDescription, Rng, RunConfig, init_weights, forward\n"
-        "config = RunConfig(layers=2, channels=8, heads=2)\n"
-        "model = ModelDescription(config, init_weights(config, span=16, seed=0))\n"
-        "rng = Rng(0)\n"
-        "pair = ImagePair(rng.generator.random((1, 16, 32), dtype=np.float32),\n"
-        "                 rng.generator.random((1, 16, 32), dtype=np.float32))\n"
-        "disp, occ, _ = forward(pair, model)\n"
-        "print(hashlib.sha256(disp.values.tobytes() + occ.probs.tobytes()).hexdigest())\n"
+    words = forward_in_fresh_process(
+        "RunConfig(layers=2, channels=8, heads=2)",
+        16,
+        (1, 16, 32),
+        "print(sha(disp.values.tobytes() + occ.probs.tobytes()))\n",
+        threads="1",
     )
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS="1",
-        OMP_NUM_THREADS="1",
-        MKL_NUM_THREADS="1",
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == GOLDEN_FORWARD
+    assert words == [GOLDEN_FORWARD]
 
 
 def test_default_forward_bytes_independent_of_blas_threads():
     # default config on a 128x256 pair: the same bytes with 1 and 2 BLAS threads
-    import os
-    import subprocess
-    import sys
-
-    script = (
-        "import hashlib, numpy as np\n"
-        "from cstr import ImagePair, ModelDescription, Rng, RunConfig, init_weights, forward\n"
-        "config = RunConfig()\n"
-        "model = ModelDescription(config, init_weights(config, seed=0))\n"
-        "rng = Rng(0)\n"
-        "pair = ImagePair(rng.generator.random((1, 128, 256), dtype=np.float32),\n"
-        "                 rng.generator.random((1, 128, 256), dtype=np.float32))\n"
-        "disp, occ, _ = forward(pair, model)\n"
-        "print(hashlib.sha256(disp.values.tobytes()).hexdigest())\n"
-        "print(hashlib.sha256(occ.probs.tobytes()).hexdigest())\n"
-    )
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS=threads,
-            OMP_NUM_THREADS=threads,
-            MKL_NUM_THREADS=threads,
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.split())
+    prints = "print(sha(disp.values.tobytes()))\nprint(sha(occ.probs.tobytes()))\n"
+    digests = [
+        forward_in_fresh_process("RunConfig()", DEFAULT_SPAN, (1, 128, 256), prints, threads=threads)
+        for threads in ("1", "2")
+    ]
     assert digests[0] == digests[1]
 
 
@@ -532,32 +519,17 @@ def test_threaded_shape_forward_digest(name):
 def test_one_cpu_process_reproduces_the_default_digest():
     # a fresh process allowed one CPU before cstr loads starts no helper
     # thread and gives the frozen default digest
-    import os
-    import subprocess
-    import sys
-
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no CPU affinity call on this platform")
-    script = (
-        "import os\n"
-        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        "import hashlib, numpy as np\n"
-        "from cstr import ImagePair, ModelDescription, Rng, RunConfig, init_weights, forward\n"
-        "from cstr import ndarray\n"
-        "config = RunConfig()\n"
-        "model = ModelDescription(config, init_weights(config, seed=0))\n"
-        "rng = Rng(0)\n"
-        "pair = ImagePair(rng.generator.random((1, 128, 256), dtype=np.float32),\n"
-        "                 rng.generator.random((1, 128, 256), dtype=np.float32))\n"
-        "disp, occ, _ = forward(pair, model)\n"
-        "print(hashlib.sha256(disp.values.tobytes() + occ.probs.tobytes()).hexdigest())\n"
-        "print(len(os.sched_getaffinity(0)), ndarray._helper is None)\n"
+    words = forward_in_fresh_process(
+        "RunConfig()",
+        DEFAULT_SPAN,
+        (1, 128, 256),
+        "print(sha(disp.values.tobytes() + occ.probs.tobytes()))\n"
+        "print(len(os.sched_getaffinity(0)), ndarray._helper is None)\n",
+        setup="import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n",
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [THREADED_DIGESTS["default_m3"], "1", "True"]
+    assert words == [THREADED_DIGESTS["default_m3"], "1", "True"]
 
 
 @pytest.mark.parametrize("layers", [1, 3])
@@ -683,3 +655,21 @@ def test_every_tensor_outside_the_dead_set_moves_the_output(strategy):
             dead.add(name)
     assert len(tensors) == 91
     assert dead == DEAD_TENSORS[strategy]
+
+
+# --- package surface ---
+
+
+def test_package_reexports_only_names_in_their_modules_all():
+    # a name deleted from its module's __all__ cannot linger in the package
+    import ast
+    import importlib
+    import inspect
+
+    tree = ast.parse(inspect.getsource(cstr))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"cstr.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, f"cstr.{node.module}.{alias.name}"
