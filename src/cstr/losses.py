@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matching import AssignmentVolume
+from .matching import AssignmentVolume, _epipolar
 from .ndarray import Rng, linear_interp_1d
 
 __all__ = [
@@ -70,41 +70,38 @@ def relative_response_loss(
 ) -> tuple[float, np.ndarray]:
     """Negative log-likelihood of the plan mass at the true match positions.
 
-    Matched pixels interpolate their plan row at position i - d_gt and pay
-    -log of that mass (averaged over the matched set); unmatched pixels pay
+    Matched pixels interpolate their plan row at their right column
+    x_R = x_L - d_gt and pay -log of that mass (averaged over the matched
+    set); a matched column outside [0, m - 1] is an error. Unmatched pixels pay
     -log of their dustbin entry (averaged over the unmatched set).
-    Probabilities are floored at 1e-12 before the log. ``valid`` excludes
-    pixels from both sets. Returns the loss and its gradient w.r.t. the plans.
+    Probabilities are floored at 1e-12 before the log. ``valid``, shaped
+    (lines, n) like the ground truth, excludes pixels from both sets. Returns
+    the loss and its gradient w.r.t. the plans.
     """
     vol = plans.plans.astype(np.float64)
     lines, n, m = plans.lines, plans.left_width, plans.right_width
-    if gt.disparity.shape != (lines, n):
-        raise ValueError(
-            f"ground truth {gt.disparity.shape} does not match plans ({lines}, {n})"
-        )
-    matched = gt.matched
+    for name, arr in (("ground truth", gt.disparity), ("valid mask", valid)):
+        if arr is not None and arr.shape != (lines, n):
+            raise ValueError(f"{name} {arr.shape} does not match plans ({lines}, {n})")
+    matched, unmatched = gt.matched, gt.occlusion.astype(bool)
     if valid is not None:
-        matched = matched & valid
-        unmatched = gt.occlusion.astype(bool) & valid
-    else:
-        unmatched = gt.occlusion.astype(bool)
+        matched, unmatched = matched & valid, unmatched & valid
     n_matched = int(matched.sum())
     n_unmatched = int(unmatched.sum())
     if n_matched == 0 and n_unmatched == 0:
         raise ValueError("no pixels in either the matched or unmatched set")
+    positions, in_range = _epipolar(np.arange(n), gt.disparity.astype(np.float64), m)
+    outside = np.argwhere(matched & ~in_range)
+    if len(outside):
+        y, i = outside[0]
+        raise ValueError(f"ground-truth disparity at ({y}, {i}) maps outside [0, {m - 1}]")
     value = 0.0
     grad = np.zeros_like(vol)
     for y in range(lines):
         for i in range(n):
             if matched[y, i]:
-                pos = float(i) - float(gt.disparity[y, i])
-                if not 0.0 <= pos <= m - 1:
-                    raise ValueError(
-                        f"ground-truth disparity at ({y}, {i}) maps outside "
-                        f"[0, {m - 1}]"
-                    )
-                row = vol[y, i, :m]
-                t_star = linear_interp_1d(row, pos)
+                pos = positions[y, i]
+                t_star = linear_interp_1d(vol[y, i, :m], pos)
                 floored = max(t_star, PROB_FLOOR)
                 value += -np.log(floored) / n_matched
                 if t_star > PROB_FLOOR:

@@ -112,21 +112,26 @@ class RefineWeights:
     occ_bias: np.ndarray
 
 
-def epipolar_mask(w_left: int, w_right: int, flip: bool = False) -> np.ndarray:
-    """Additive attention mask over (left index i, right index j) pairs.
+def _epipolar(x: np.ndarray, y: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stereo convention x_R = x_L - d, stated once: for left columns ``x``,
+    ``x - y`` is the right column at disparity ``y``, or the disparity of right
+    column ``y``. The flags mark results in [0, m - 1], a right line's columns."""
+    offset = x - y
+    return offset, (offset >= 0) & (offset <= m - 1)
 
-    The default geometric convention allows a match only when i - j <= 0;
-    forbidden entries are -inf so the same array masks logits directly and
-    maps to +inf costs after negation. ``flip`` selects the complementary
-    convention (i - j >= 0) without touching any caller.
+
+def epipolar_mask(w_left: int, w_right: int) -> np.ndarray:
+    """Additive attention mask over (left index, right index) pairs.
+
+    A pair is allowed only when its disparity is <= 0; forbidden entries are
+    -inf so the same array masks logits directly and maps to +inf costs after
+    negation. This is the head's known disagreement: the loss reads a match
+    at disparity d > 0 left of its pixel, where this mask forbids it.
     """
     if w_left <= 0 or w_right <= 0:
         raise ValueError("mask extents must be positive")
-    i = np.arange(w_left)[:, None]
-    j = np.arange(w_right)[None, :]
-    allowed = (i - j >= 0) if flip else (i - j <= 0)
-    mask = np.where(allowed, np.float32(0), np.float32(-np.inf))
-    return mask.astype(np.float32)
+    disparity, _ = _epipolar(np.arange(w_left)[:, None], np.arange(w_right), w_right)
+    return np.where(disparity <= 0, np.float32(0), np.float32(-np.inf))
 
 
 def sinkhorn(cost: np.ndarray, iters: int, epsilon: float) -> np.ndarray:
@@ -199,8 +204,8 @@ def regress_raw(
 
     For each left pixel the highest-scoring real candidate anchors a 3-wide
     window (clipped at the borders); window scores are renormalized to give
-    the disparity expectation, and occlusion is one minus the unnormalized
-    window mass.
+    the expectation of the candidates' |disparity|, and occlusion is one
+    minus the unnormalized window mass.
     """
     vol = plans.plans
     n, m = plans.left_width, plans.right_width
@@ -214,7 +219,8 @@ def regress_raw(
     scores = np.take_along_axis(real, clipped, axis=2) * valid
     mass = scores.sum(axis=2)
     weights = scores / mass[:, :, None]
-    candidates = np.abs(np.arange(n)[:, None] - clipped).astype(np.float32)
+    pair_disp, _ = _epipolar(np.arange(n)[:, None], clipped, m)
+    candidates = np.abs(pair_disp).astype(np.float32)
     disparity = (candidates * weights).sum(axis=2)
     occlusion = np.clip(np.float32(1) - mass, np.float32(0), np.float32(1))
     return DisparityMap(disparity, scale=scale), OcclusionMap(occlusion)

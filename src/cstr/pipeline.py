@@ -68,6 +68,7 @@ from .matching import (
     DisparityMap,
     OcclusionMap,
     RefineWeights,
+    _epipolar,
     epipolar_mask,
     regress_raw,
     refine_full_res,
@@ -416,11 +417,8 @@ def _loss_breakdown(
     step = config.scale_denominator
     gt_raw_disp = gt.disparity[::step, ::step] * np.float32(config.mmp_scale)
     gt_raw_occ = gt.occlusion[::step, ::step].astype(bool)
-    # matched pixels whose interpolation position leaves the line are dropped
-    m = plans.right_width
-    cols = np.arange(gt_raw_disp.shape[1])[None, :]
-    pos = cols - gt_raw_disp
-    in_range = (pos >= 0) & (pos <= m - 1)
+    # matched pixels whose right column leaves the line are dropped
+    _, in_range = _epipolar(np.arange(gt_raw_disp.shape[1]), gt_raw_disp, plans.right_width)
     valid = gt_raw_occ | in_range
     rr_value, _ = relative_response_loss(
         plans, GtBundle(gt_raw_disp, gt_raw_occ), valid=valid

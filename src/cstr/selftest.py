@@ -622,16 +622,9 @@ def check_cep_payload_schedule() -> tuple[bool, str]:
 def check_epipolar_mask_convention() -> tuple[bool, str]:
     mask = epipolar_mask(3, 3)
     allowed = np.isfinite(mask)
-    want = np.array(
-        [[True, True, True], [False, True, True], [False, False, True]]
-    )
-    flipped = np.isfinite(epipolar_mask(3, 3, flip=True))
-    ok = (
-        np.array_equal(allowed, want)
-        and int(allowed.sum()) == 6
-        and np.array_equal(flipped, want.T)
-    )
-    return ok, f"default allows {int(allowed.sum())}/9, flip allows {int(flipped.sum())}/9"
+    want = np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
+    ok = np.array_equal(allowed, want) and int(allowed.sum()) == 6
+    return ok, f"allows {int(allowed.sum())}/9"
 
 
 def check_metric_identities() -> tuple[bool, str]:

@@ -118,7 +118,7 @@ def test_criterion_10_config_defaults():
 
 def test_criterion_11_mask_correctness():
     ok, detail = run_check("epipolar_mask_convention")
-    report("11 epipolar mask (6 allowed pairs; flip = complement + diagonal)", ok, detail)
+    report("11 epipolar mask (6 allowed pairs)", ok, detail)
 
 
 def test_criterion_12_loss_composition():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cstr import (
     Rng,
     binary_entropy_loss,
     finite_diff_check,
+    forward,
     relative_response_loss,
     smooth_l1,
     total_loss,
@@ -91,6 +94,14 @@ def test_rr_requires_some_pixels():
         )
 
 
+def test_rr_rejects_a_valid_mask_of_another_shape():
+    rows = np.full((2, 3), 0.5, dtype=F32)
+    vol = AssignmentVolume(np.stack([volume_from_rows(rows).plans[0]] * 3))
+    gt = GtBundle(np.zeros((3, 2), dtype=F32), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"valid mask \(1, 2\) does not match plans \(3, 2\)"):
+        relative_response_loss(vol, gt, valid=np.ones((1, 2), dtype=bool))
+
+
 def test_rr_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(20):
@@ -109,6 +120,37 @@ def test_rr_gradient_matches_finite_differences():
         )
         worst = max(worst, err)
     assert worst < 1e-3
+
+
+# --- pinned supervision bytes ---
+
+
+def test_forward_loss_terms_are_pinned(tiny_model, tiny_pair):
+    # some matched pixels map off the raw line, where _loss_breakdown drops
+    # them, and some are unmatched
+    rng = Rng(19)
+    gt_disp = rng.generator.random((16, 32), dtype=F32) * 12
+    gt_occ = rng.generator.random((16, 32)) < 0.2
+    _, _, b = forward(tiny_pair, tiny_model, GtBundle(gt_disp, gt_occ))
+    assert (b.rr_raw, b.d1_raw, b.d1_final, b.be_final) == (
+        22.226932199732506,
+        0.9385384755213579,
+        5.170140748982974,
+        1.040248119162717,
+    )
+
+
+def test_rr_gradient_is_pinned():
+    plan = Rng(23).generator.random((2, 6, 6), dtype=F32)
+    plan[0, 1, :5] = 0  # pixel (0, 1) is floored
+    gt_d = np.array([[0.0, 0.5, 1.25, 2.0, 0.0], [3.5, 0.75, 0.0, 2.5, 4.0]], dtype=F32)
+    gt_o = np.array([[0, 0, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=bool)
+    # pixel (0, 4) sits on the line's last column, lo == m - 1
+    value, grad = relative_response_loss(AssignmentVolume(plan), GtBundle(gt_d, gt_o))
+    assert value == 7.385561783349681
+    assert hashlib.sha256(grad.tobytes()).hexdigest() == (
+        "7301c1fab272827575f389ead1d55ab047abc2ef50cc4c692190a2b9de077260"
+    )
 
 
 # --- smooth L1 ---

@@ -35,13 +35,6 @@ def test_mask_three_by_three_enumeration():
     assert np.isneginf(mask[~allowed]).all()
 
 
-def test_mask_flip_is_complement_plus_diagonal():
-    normal = np.isfinite(epipolar_mask(3, 3))
-    flipped = np.isfinite(epipolar_mask(3, 3, flip=True))
-    assert (normal & flipped).sum() == 3  # the diagonal
-    assert (normal | flipped).all()
-
-
 def test_mask_one_by_one_allowed():
     assert np.isfinite(epipolar_mask(1, 1)).all()
 

@@ -32,6 +32,8 @@ from cstr import (
     seeded_normal,
     weight_spec,
 )
+import cstr.losses
+import cstr.matching
 import cstr.pipeline
 from cstr.pipeline import DEFAULT_SPAN, _axial_half, _layout, _line_plans
 from cstr.matching import regress_raw
@@ -41,11 +43,11 @@ F32 = np.float32
 TINY = RunConfig(layers=2, channels=8, heads=2)
 
 
-def tiny_model(seed=0, config=TINY, span=16):
+def seeded_model(seed=0, config=TINY, span=16):
     return ModelDescription(config, init_weights(config, span=span, seed=seed))
 
 
-def random_pair(seed=0, shape=(1, 16, 32)):
+def seeded_pair(seed=0, shape=(1, 16, 32)):
     rng = Rng(seed)
     return ImagePair(
         rng.generator.random(shape, dtype=F32),
@@ -151,12 +153,11 @@ def test_validation_rejects_the_full_layout():
         ModelDescription(TINY, full_layout_store(TINY, 8))
 
 
-def test_last_layer_computes_only_scores():
-    model = tiny_model()
-    feat_l, feat_r, ctx = backbone_forward(random_pair(), model)
+def test_last_layer_computes_only_scores(tiny_model, tiny_pair):
+    feat_l, feat_r, ctx = backbone_forward(tiny_pair, tiny_model)
     with pytest.raises(ValueError, match="last layer, which computes only scores"):
-        cstr_layer(feat_l, feat_r, ctx, 1, model)
-    scores_only = model.layers[1].mmp.cross
+        cstr_layer(feat_l, feat_r, ctx, 1, tiny_model)
+    scores_only = tiny_model.layers[1].mmp.cross
     assert isinstance(scores_only, ScoreWeights)
     with pytest.raises(ValueError, match="last layer, which computes only scores"):
         cross_attention(feat_l, feat_r, scores_only, TINY.heads)
@@ -194,19 +195,18 @@ def test_typed_weights_are_the_stores_arrays_in_naming_order(config):
 # --- backbone ---
 
 
-def test_backbone_shapes_at_quarter_scale():
+def test_backbone_shapes_at_quarter_scale(tiny_pair):
     config = RunConfig(layers=1, channels=128, heads=4)
     model = ModelDescription(config, init_weights(config, span=16, seed=1))
-    pair = random_pair(shape=(1, 16, 32))
-    feat_l, feat_r, ctx = backbone_forward(pair, model)
+    feat_l, feat_r, ctx = backbone_forward(tiny_pair, model)
     assert feat_l.shape == (128, 4, 8)
     assert feat_r.shape == (128, 4, 8)
     assert ctx.left_ctx.shape == (128, 4, 2)  # width pooled by 2K = 4
 
 
 def test_backbone_weight_sharing_swaps_outputs():
-    model = tiny_model(seed=2)
-    pair = random_pair(seed=3)
+    model = seeded_model(seed=2)
+    pair = seeded_pair(seed=3)
     feat_l, feat_r, _ = backbone_forward(pair, model)
     swapped = ImagePair(pair.right, pair.left)
     sw_l, sw_r, _ = backbone_forward(swapped, model)
@@ -215,22 +215,21 @@ def test_backbone_weight_sharing_swaps_outputs():
 
 
 def test_backbone_zero_input_zero_biases_gives_zeros():
-    model = tiny_model(seed=4)
+    model = seeded_model(seed=4)
     pair = ImagePair(np.zeros((1, 16, 32), dtype=F32), np.zeros((1, 16, 32), dtype=F32))
     feat_l, feat_r, ctx = backbone_forward(pair, model)
     assert (feat_l == 0).all() and (feat_r == 0).all()
     assert (ctx.left_ctx == 0).all()
 
 
-def test_backbone_rejects_indivisible_extents():
-    model = tiny_model()
+def test_backbone_rejects_indivisible_extents(tiny_model):
     pair = ImagePair(np.zeros((1, 15, 32), dtype=F32), np.zeros((1, 15, 32), dtype=F32))
     with pytest.raises(ValueError, match="pad"):
-        backbone_forward(pair, model)
+        backbone_forward(pair, tiny_model)
 
 
 def test_pad_pair_replicates_and_reports_original():
-    pair = random_pair(shape=(1, 15, 30))
+    pair = seeded_pair(shape=(1, 15, 30))
     padded, (h, w) = pad_pair_to_multiple(pair, 4)
     assert (h, w) == (15, 30)
     assert padded.shape == (1, 16, 32)
@@ -270,13 +269,13 @@ def test_forward_path_fusion_calls(strategy, calls, monkeypatch):
         return path_fusion(*args)
 
     monkeypatch.setattr(cstr.pipeline, "path_fusion", counted)
-    forward(random_pair(seed=6), tiny_model(seed=5, config=config))
+    forward(seeded_pair(seed=6), seeded_model(seed=5, config=config))
     assert len(seen) == calls
 
 
 def test_final_scores_shape_and_mask():
-    model = tiny_model(seed=9)
-    pair = random_pair(seed=10)
+    model = seeded_model(seed=9)
+    pair = seeded_pair(seed=10)
     scores = reference_scores(TINY, model, pair)
     assert scores.logits.shape == (4, 8, 8)
     lower = np.tril_indices(8, k=-1)
@@ -308,18 +307,16 @@ def test_identical_images_give_symmetric_prematch_logits():
     np.testing.assert_allclose(logits, logits.transpose(0, 2, 1), atol=1e-5)
 
 
-def test_layer_out_of_range_rejected():
-    model = tiny_model()
-    pair = random_pair()
-    feat_l, feat_r, ctx = backbone_forward(pair, model)
+def test_layer_out_of_range_rejected(tiny_model, tiny_pair):
+    feat_l, feat_r, ctx = backbone_forward(tiny_pair, tiny_model)
     with pytest.raises(ValueError):
-        cstr_layer(feat_l, feat_r, ctx, 2, model)
+        cstr_layer(feat_l, feat_r, ctx, 2, tiny_model)
 
 
 def test_layer_count_one_runs():
     config = RunConfig(layers=1, channels=8, heads=2)
     model = ModelDescription(config, init_weights(config, span=16, seed=13))
-    disp, occ, _ = forward(random_pair(seed=14), model)
+    disp, occ, _ = forward(seeded_pair(seed=14), model)
     assert disp.values.shape == (16, 32)
     assert np.isfinite(disp.values).all()
 
@@ -363,7 +360,7 @@ def test_forward_thread_pool_matches_sequential(tiny_model, tiny_pair):
 
 
 def test_forward_pads_and_crops_awkward_sizes(tiny_model):
-    pair = random_pair(seed=15, shape=(1, 15, 30))
+    pair = seeded_pair(seed=15, shape=(1, 15, 30))
     disp, occ, _ = forward(pair, tiny_model)
     assert disp.values.shape == (15, 30)
     assert occ.probs.shape == (15, 30)
@@ -389,6 +386,30 @@ def test_forward_with_ground_truth_returns_breakdown(tiny_model, tiny_pair):
     parts = (breakdown.rr_raw, breakdown.d1_raw, breakdown.d1_final, breakdown.be_final)
     assert all(np.isfinite(p) and p >= 0 for p in parts)
     assert breakdown.total == sum(parts)  # unit default weights
+
+
+def test_mask_regression_and_loss_share_one_stereo_convention(
+    tiny_model, tiny_pair, monkeypatch
+):
+    # every reader of x_R = x_L - d calls the one helper; a reader that
+    # writes its own copy drops out of the set
+    callers = set()
+    convention = cstr.matching._epipolar
+
+    def traced(*args):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return convention(*args)
+
+    for module in (cstr.matching, cstr.losses, cstr.pipeline):
+        monkeypatch.setattr(module, "_epipolar", traced)
+    gt = GtBundle(np.zeros((16, 32), dtype=F32), np.zeros((16, 32), dtype=bool))
+    forward(tiny_pair, tiny_model, gt)
+    assert callers == {
+        "epipolar_mask",
+        "regress_raw",
+        "relative_response_loss",
+        "_loss_breakdown",
+    }
 
 
 def test_forward_loss_respects_weights(tiny_pair):
@@ -417,12 +438,12 @@ def test_forward_rejects_indivisible_gt_before_any_compute(tiny_model, monkeypat
     monkeypatch.setattr(cstr.pipeline, "backbone_forward", backbone)
     gt = GtBundle(np.zeros((15, 30), dtype=F32), np.zeros((15, 30)))
     with pytest.raises(ValueError, match="divisible"):
-        forward(random_pair(shape=(1, 15, 30)), tiny_model, gt)
+        forward(seeded_pair(shape=(1, 15, 30)), tiny_model, gt)
     assert ran == []
 
 
 def test_forward_rgb_pair_equals_its_luma_pair(tiny_model):
-    pair = random_pair(seed=18, shape=(3, 16, 32))
+    pair = seeded_pair(seed=18, shape=(3, 16, 32))
     gray = ImagePair(rgb_to_gray(pair.left), rgb_to_gray(pair.right))
     disp, occ, _ = forward(pair, tiny_model)
     want_disp, want_occ, _ = forward(gray, tiny_model)
@@ -511,7 +532,7 @@ THREADED_DIGESTS = {
 def test_threaded_shape_forward_digest(name):
     config, span, seed, shape = THREADED_SHAPES[name]
     model = ModelDescription(config, init_weights(config, span=span, seed=0))
-    disp, occ, _ = forward(random_pair(seed=seed, shape=shape), model)
+    disp, occ, _ = forward(seeded_pair(seed=seed, shape=shape), model)
     digest = hashlib.sha256(disp.values.tobytes() + occ.probs.tobytes()).hexdigest()
     assert digest == THREADED_DIGESTS[name]
 
@@ -538,8 +559,8 @@ def test_forward_bytes_independent_of_the_image_tasks(two_way, strategy, layers)
     # threshold 0, so every stage of these tiny shapes runs as two tasks; the
     # 18x34 pair is padded to 20x36
     config = RunConfig(layers=layers, channels=8, heads=2, cep_strategy=strategy)
-    model = tiny_model(seed=70 + layers, config=config)
-    pair = random_pair(seed=71, shape=(1, 18, 34))
+    model = seeded_model(seed=70 + layers, config=config)
+    pair = seeded_pair(seed=71, shape=(1, 18, 34))
     outputs = []
     for on in (False, True):
         runs = two_way(on)
@@ -552,7 +573,7 @@ def test_forward_bytes_independent_of_the_image_tasks(two_way, strategy, layers)
 def test_default_forward_bytes_independent_of_the_two_way_split(two_way):
     config = RunConfig()
     model = ModelDescription(config, init_weights(config, seed=0))
-    pair = random_pair(shape=(1, 128, 256))
+    pair = seeded_pair(shape=(1, 128, 256))
     digests = []
     for on in (False, True):
         runs = two_way(on)
@@ -571,7 +592,7 @@ def test_rgb_forward_converts_each_image_to_luma_once(tiny_model, monkeypatch):
         return luma(image)
 
     monkeypatch.setattr(cstr.pipeline, "rgb_to_gray", counted)
-    forward(random_pair(seed=18, shape=(3, 16, 32)), tiny_model)
+    forward(seeded_pair(seed=18, shape=(3, 16, 32)), tiny_model)
     assert calls == [(3, 16, 32)] * 2
 
 
@@ -612,8 +633,8 @@ def full_layers_reference(pair, model):
 @pytest.mark.parametrize("strategy", ["M1", "M2", "M3"])
 def test_forward_bytes_equal_full_last_layer_reference(strategy, layers):
     config = RunConfig(layers=layers, channels=8, heads=2, cep_strategy=strategy)
-    model = tiny_model(seed=40 + layers, config=config)
-    pair = random_pair(seed=50 + layers)
+    model = seeded_model(seed=40 + layers, config=config)
+    pair = seeded_pair(seed=50 + layers)
     want_disp, want_occ = full_layers_reference(pair, model)
     disp, occ, _ = forward(pair, model)
     assert disp.values.tobytes() == want_disp.tobytes()
@@ -638,7 +659,7 @@ def test_every_tensor_outside_the_dead_set_moves_the_output(strategy):
     # seeded noise, not scaling: biases are zero at init
     config = RunConfig(layers=3, channels=8, heads=2, cep_strategy=strategy)
     store = init_weights(config, span=16, seed=60)
-    pair = random_pair(seed=61)
+    pair = seeded_pair(seed=61)
 
     def output_bytes(tensors):
         disp, occ, _ = forward(pair, ModelDescription(config, WeightStore(tensors)))

@@ -32,7 +32,7 @@ def break_softmax(monkeypatch):
 
 def flip_mask(monkeypatch):
     mask = matching.epipolar_mask
-    patch_everywhere(monkeypatch, mask, lambda n, m, flip=False: mask(n, m, not flip))
+    patch_everywhere(monkeypatch, mask, lambda n, m: mask(m, n).T)
     return ["epipolar_mask_convention"]
 
 
