@@ -60,7 +60,10 @@ over some of the lines therefore gives each of them the bytes it gets in a
 call over all of them. One loop, ``_pieces``, runs the lines in pieces of
 at most ``_PIECE_BYTES`` of queries, after building what does not depend on
 the lines once per call: each head's window products, their transposes and
-block views, and the buffers the position products go to. Per piece it
+block views, and the buffers the position products go to. Lines of at most
+one block need only read-only views of the window products, which the first
+call keeps on the weight object for later ones; the weights' arrays are
+read-only, so these cannot go stale. Per piece it
 projects the queries and keys and hands out the piece's logits head by head
 from ``_logits_by_head``, the one place logits are built. The feature
 updates softmax each head's logits against its values; ``cross_scores``
@@ -115,6 +118,11 @@ class _Projections:
             raise ValueError(
                 f"head_channels {self.rel_pos.shape[1]} must divide channels {c}"
             )
+        # short-line position operands by (head channels, n, m), which
+        # _head_operands keeps; read-only arrays keep them from going stale
+        for name in (*self._MATRICES, "rel_pos"):
+            getattr(self, name).flags.writeable = False
+        object.__setattr__(self, "_operands", {})
 
     @property
     def channels(self) -> int:
@@ -335,17 +343,28 @@ def _head_operands(
     (window product ``table @ Wk[hs, hs]``) and of its key rows (``table @
     Wq[hs, hs]``) for up to ``lines`` lines. The blocked products of all of
     them go to one product buffer, so each term is added before the next
-    runs."""
-    products = None
-    if max(n, m) > _BLOCK:
-        products = np.empty(lines * _product_size(n, m), dtype=np.float32)
+    runs.
+
+    If no line is longer than one block, the operands are read-only views
+    that depend on the weights and extents alone, so the first call keeps
+    them on the weights and later calls reuse them. Two threads may both
+    build a missing entry: they build the same bytes, and a dict store is
+    atomic."""
+    short = max(n, m) <= _BLOCK
+    if short and (kept := weights._operands.get((ch, n, m))) is not None:
+        return kept
+    products = None if short else np.empty(lines * _product_size(n, m), dtype=np.float32)
     operands = []
     for lo in range(0, weights.channels, ch):
         hs = slice(lo, lo + ch)
+        by_query, by_key = table @ weights.Wk[hs, hs], table @ weights.Wq[hs, hs]
+        by_query.flags.writeable = by_key.flags.writeable = False
         operands.append((
-            _position_operand(table @ weights.Wk[hs, hs], n, m, False, products, lines),
-            _position_operand(table @ weights.Wq[hs, hs], n, m, True, products, lines),
+            _position_operand(by_query, n, m, False, products, lines),
+            _position_operand(by_key, n, m, True, products, lines),
         ))
+    if short:
+        weights._operands[(ch, n, m)] = operands
     return operands
 
 

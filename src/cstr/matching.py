@@ -14,6 +14,7 @@ slack, can exceed 1, and is never consumed downstream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,24 @@ def epipolar_mask(w_left: int, w_right: int) -> np.ndarray:
     return np.where(disparity <= 0, np.float32(0), np.float32(-np.inf))
 
 
+# Marginal pairs kept by _log_masses: a forward runs every line at one (n, m).
+_MASSES_KEPT = 16
+
+
+@functools.lru_cache(maxsize=_MASSES_KEPT)
+def _log_masses(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # log row and column marginals of an (n, m) problem with its dustbins,
+    # under sinkhorn's errstate (an empty side logs 0); kept and shared by
+    # later calls, so read-only
+    masses = (
+        np.log(np.concatenate([np.ones(n, dtype=np.float32), [np.float32(m)]])),
+        np.log(np.concatenate([np.ones(m, dtype=np.float32), [np.float32(n)]])),
+    )
+    for mass in masses:
+        mass.flags.writeable = False
+    return masses
+
+
 def sinkhorn(cost: np.ndarray, iters: int, epsilon: float) -> np.ndarray:
     """Log-domain Sinkhorn over a dustbin-augmented cost matrix.
 
@@ -164,12 +183,7 @@ def sinkhorn(cost: np.ndarray, iters: int, epsilon: float) -> np.ndarray:
     f = np.zeros(n + 1, dtype=np.float32)
     g = np.zeros(m + 1, dtype=np.float32)
     with np.errstate(divide="ignore"):
-        log_row_mass = np.log(
-            np.concatenate([np.ones(n, dtype=np.float32), [np.float32(m)]])
-        )
-        log_col_mass = np.log(
-            np.concatenate([np.ones(m, dtype=np.float32), [np.float32(n)]])
-        )
+        log_row_mass, log_col_mass = _log_masses(n, m)
         for _ in range(iters):
             np.add(log_kernel, f[:, None], out=buf)
             mx = np.maximum.reduce(buf, axis=0)

@@ -20,7 +20,8 @@ Fixed conventions, chosen once so that outputs are reproducible bit for bit:
   output row (per line or per window), which dominates on short rows.
 
 All functions here are pure: no in-place mutation of inputs, and no global
-state except one helper thread per process. A pipeline stage that runs once
+state except one helper thread per process and a small bounded cache of
+read-only upsample coordinates per extent pair. A pipeline stage that runs once
 per image hands both runs to ``_both``, which runs them at once as two
 tasks: the left on the calling thread, the right on the helper. Each task
 runs whole on its thread and makes the numpy calls a one-thread run makes,
@@ -31,6 +32,7 @@ own.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -359,13 +361,22 @@ def avgpool_width(t: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
+# Coordinate tables kept by _linear_coords: a forward asks for at most 4
+# (context fusion and refinement, each along h and w).
+_COORDS_KEPT = 16
+
+
+@functools.lru_cache(maxsize=_COORDS_KEPT)
 def _linear_coords(n_in: int, n_out: int):
-    # half-pixel-centre source coordinates, clamped to the valid sample range
+    # half-pixel-centre source coordinates, clamped to the valid sample range;
+    # kept and shared by later calls, so read-only
     pos = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     pos = np.clip(pos, 0.0, float(n_in - 1))
     lo = np.minimum(np.floor(pos).astype(np.int64), n_in - 1)
     hi = np.minimum(lo + 1, n_in - 1)
     frac = (pos - lo).astype(np.float32)
+    for table in (lo, hi, frac):
+        table.flags.writeable = False
     return lo, hi, frac
 
 

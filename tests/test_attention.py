@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import sys
 import threading
@@ -581,3 +582,69 @@ def test_bad_mask_raises_the_serial_message_in_the_caller(two_way, split):
     with pytest.raises(ValueError, match="^mask forbids every key of some query row$"):
         cross_attention(left, right, w, heads, mask)
     assert runs == []
+
+
+# --- position operands kept on the weights ---
+
+
+def operand_case(length, seed=0):
+    # 2 heads of 4 channels; span 32 takes lines of one block and of two
+    w = random_attention_weights(Rng(140 + seed), 8, 2, span=32)
+    ch, table = attention._checked_window(w, 2, length, length, None)
+    return w, ch, table
+
+
+def test_short_lines_reuse_read_only_operands():
+    # a second call, even for another line count, gets the objects the first built
+    w, ch, table = operand_case(16)
+    first = attention._head_operands(table, w, ch, 16, 16, 3)
+    assert attention._head_operands(table, w, ch, 16, 16, 5) is first
+    assert w._operands == {(ch, 16, 16): first}
+    arrays = [a for pair in first for a in pair]
+    assert len(arrays) == 4 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0][0, 0] = 1
+
+
+def test_long_lines_build_fresh_operands():
+    # their operands hold per-call product buffers, so nothing is kept
+    w, ch, table = operand_case(17)
+    first = attention._head_operands(table, w, ch, 17, 17, 2)
+    again = attention._head_operands(table, w, ch, 17, 17, 2)
+    assert again is not first and w._operands == {}
+    for old, new in zip(first, again):
+        for old_term, new_term in zip(old, new):
+            assert not np.shares_memory(old_term[1], new_term[1])
+
+
+def test_weight_objects_never_share_operands():
+    # equal weights over the very same arrays still keep their own entries
+    w, ch, table = operand_case(8)
+    twin = dataclasses.replace(w)
+    assert twin == w and twin._operands is not w._operands
+    ops = attention._head_operands(table, w, ch, 8, 8, 1)
+    assert twin._operands == {}
+    twin_ops = attention._head_operands(table, twin, ch, 8, 8, 1)
+    assert twin_ops is not ops and w._operands[(ch, 8, 8)] is ops
+    for pair, twin_pair in zip(ops, twin_ops):
+        for a, b in zip(pair, twin_pair):
+            assert not np.shares_memory(a, b) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("length", [1, 8, 16])
+def test_kept_operands_give_the_bytes_of_built_ones(length):
+    # the first calls build the operands, the second ones reuse them
+    rng = Rng(150)
+    w = random_attention_weights(rng, 8, 2, span=16)
+    left = seeded_normal(rng, (8, 3, length), 1.0)
+    right = seeded_normal(rng, (8, 3, length), 1.0)
+    mask = epipolar_mask(length, length)
+
+    def run():
+        out = [axial_attention_width(left, w, 2), axial_attention_height(left, w, 2)]
+        out += cross_attention(left, right, w, 2, mask)
+        return [t.tobytes() for t in out] + [cross_scores(left, right, w, 2).logits.tobytes()]
+
+    cold = run()
+    assert len(w._operands) == 2  # lines of `length` and of 3
+    assert run() == cold

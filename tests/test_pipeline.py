@@ -27,13 +27,17 @@ from cstr import (
     init_weights,
     pad_pair_to_multiple,
     path_fusion,
+    read_weights,
     refine_full_res,
     rgb_to_gray,
     seeded_normal,
     weight_spec,
+    write_weights,
 )
+import cstr.attention
 import cstr.losses
 import cstr.matching
+import cstr.ndarray
 import cstr.pipeline
 from cstr.pipeline import DEFAULT_SPAN, _axial_half, _layout, _line_plans
 from cstr.matching import regress_raw
@@ -694,3 +698,101 @@ def test_package_reexports_only_names_in_their_modules_all():
         module = importlib.import_module(f"cstr.{node.module}")
         for alias in node.names:
             assert alias.name in module.__all__, f"cstr.{node.module}.{alias.name}"
+
+
+# --- what a forward builds once per weight object and extents ---
+
+
+def attention_weights_of(model):
+    # every attention weight object of a resolved model, in a fixed order
+    paths = [p for layer in model.layers for p in (layer.mmp, getattr(layer, "cep", None)) if p]
+    return [w for p in paths for w in (p.wax, p.hax, p.cross)]
+
+
+def kept_operands(model):
+    return {
+        (i, key): ops
+        for i, w in enumerate(attention_weights_of(model))
+        for key, ops in w._operands.items()
+    }
+
+
+@pytest.mark.parametrize("source", ["init_weights", "read_weights"])
+def test_resolved_attention_tensors_are_read_only(tmp_path, source):
+    # the kept position operands are built from these tensors
+    store = init_weights(TINY, span=16, seed=0)
+    if source == "read_weights":
+        write_weights(tmp_path / "tiny.bin", store)
+        store = read_weights(tmp_path / "tiny.bin")
+    model = ModelDescription(TINY, store)
+    assert len(attention_weights_of(model)) == 9
+    names = [n for n in store if n.startswith("layer")]
+    assert len(names) == 43
+    for name in names:
+        with pytest.raises(ValueError, match="read-only"):
+            store[name][0, 0] = 1
+
+
+def test_first_forward_of_a_fresh_model_under_two_tasks_gives_the_serial_bytes(two_way):
+    # every stage hands its second task to the helper, so both image tasks
+    # fill the fresh model's empty operand entries at once
+    pair = seeded_pair(seed=80)
+    two_way(False)
+    disp, occ, _ = forward(pair, seeded_model(seed=81))
+    want = disp.values.tobytes() + occ.probs.tobytes()
+    cstr.ndarray._linear_coords.cache_clear()
+    cstr.matching._log_masses.cache_clear()
+    model = seeded_model(seed=81)
+    runs = two_way(True)
+    disp, occ, _ = forward(pair, model)
+    assert runs and kept_operands(model)
+    assert disp.values.tobytes() + occ.probs.tobytes() == want
+
+
+def test_a_forward_builds_only_what_no_earlier_forward_built(monkeypatch):
+    # position operands, upsample coordinates and Sinkhorn marginals depend on
+    # the weights and extents alone. An lru_cache holds its own reference to
+    # the function it wraps, so its misses count the builds of the last two.
+    built, asked = [], {"coords": [], "masses": []}
+
+    def counted(build, log):
+        def wrapper(*args):
+            log.append(args)
+            return build(*args)
+        return wrapper
+
+    coords, masses = cstr.ndarray._linear_coords, cstr.matching._log_masses
+    coords.cache_clear()
+    masses.cache_clear()
+    monkeypatch.setattr(cstr.attention, "_position_operand", counted(
+        cstr.attention._position_operand, built))
+    monkeypatch.setattr(cstr.ndarray, "_linear_coords", counted(coords, asked["coords"]))
+    monkeypatch.setattr(cstr.matching, "_log_masses", counted(masses, asked["masses"]))
+
+    def builds():
+        return len(built), coords.cache_info().misses, masses.cache_info().misses
+
+    model = seeded_model(seed=82)
+    forward(seeded_pair(seed=83), model)
+    first, kept = builds(), kept_operands(model)
+    assert min(first) > 0 and kept
+    forward(seeded_pair(seed=84), model)
+    assert builds() == first
+    assert kept_operands(model).keys() == kept.keys()
+
+    seen = {name: set(log) for name, log in asked.items()}
+    forward(seeded_pair(seed=85, shape=(1, 16, 48)), model)
+    grown = kept_operands(model)
+    new = grown.keys() - kept.keys()
+    assert new and all(grown[key] is ops for key, ops in kept.items())
+    new_coords = set(asked["coords"]) - seen["coords"]
+    new_masses = set(asked["masses"]) - seen["masses"]
+    assert new_coords and new_masses
+    assert builds() == (
+        first[0] + sum(2 * len(grown[key]) for key in new),
+        first[1] + len(new_coords),
+        first[2] + len(new_masses),
+    )
+    # what the caches hand every caller is read-only
+    for cache, log in ((coords, asked["coords"]), (masses, asked["masses"])):
+        assert not any(a.flags.writeable for args in set(log) for a in cache(*args))
