@@ -82,6 +82,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.pred_occ and not args.gt_occ:
+        raise ValueError("--pred-occ needs --gt-occ")
     pred = read_pfm(args.pred)
     gt = read_pfm(args.gt)
     if pred.shape != gt.shape:
@@ -95,7 +97,7 @@ def _cmd_eval(args) -> int:
         mask = ~gt_occ
     print(f"epe={epe(pred, gt, mask):.4f}")
     print(f"three_px={three_px_error(pred, gt, mask):.4f}")
-    if args.pred_occ and args.gt_occ:
+    if args.pred_occ:
         pred_occ = read_pgm(args.pred_occ) >= 0.5
         if pred_occ.shape != gt.shape:
             raise ValueError("occlusion map shape differs from disparity maps")

@@ -226,8 +226,8 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary PGM file into an (h, w) tensor scaled to [0, 1]."""
     with open(path, "rb") as f:
         data = f.read()
-    if not data.startswith(b"P5"):
-        raise FormatError(f"{path}: bad PGM magic {data[:2]!r}")
+    if not data.startswith(b"P5") or not data[2:3].isspace():
+        raise FormatError(f"{path}: bad PGM magic {data[:3]!r}")
     try:
         (w, h, maxval), pos = _pgm_tokens(data[2:], 3)
     except (FormatError, ValueError) as exc:
@@ -247,6 +247,8 @@ def read_pgm(path) -> np.ndarray:
             f"{path}: PGM payload holds {len(payload)} bytes, expected {expected}"
         )
     raw = np.frombuffer(payload, dtype=dtype).reshape(h, w)
+    if raw.max() > maxval:
+        raise FormatError(f"{path}: PGM sample {raw.max()} exceeds maxval {maxval}")
     return raw.astype(np.float32) / np.float32(maxval)
 
 

@@ -20,14 +20,15 @@ Fixed conventions, chosen once so that outputs are reproducible bit for bit:
   output row (per line or per window), which dominates on short rows.
 
 All functions here are pure: no in-place mutation of inputs, and no global
-state except one helper thread per process and a small bounded cache of
-read-only upsample coordinates per extent pair. A pipeline stage that runs once
-per image hands both runs to ``_both``, which runs them at once as two
-tasks: the left on the calling thread, the right on the helper. Each task
-runs whole on its thread and makes the numpy calls a one-thread run makes,
-so the bytes do not depend on which thread ran it. The helper starts on the
-first large task, only where two CPUs are allowed; a fork child starts its
-own.
+state except a one-worker thread pool per process and a small bounded cache
+of read-only upsample coordinates per extent pair. A pipeline stage that runs
+once per image hands both runs to ``_both``, which runs them at once as two
+tasks: the left on the calling thread, the right on the pool's worker. Each
+task runs whole on its thread and makes the numpy calls a one-thread run
+makes, so the bytes do not depend on which thread ran it. The pool starts on
+the first large task, only where two CPUs are allowed; a fork child starts
+its own. The worker is joined at exit, and once shutdown has begun both tasks
+run on the caller.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -122,60 +122,11 @@ def softmax_axis(t: np.ndarray, axis: int) -> np.ndarray:
 # the 8-channel test config's read at most 512, less than a handoff costs.
 _TASK_WORK = 16_384
 
-# Per-thread flag: tasks handed over from here run on this thread. The helper
+# Per-thread flag: tasks handed over from here run on this thread. The worker
 # sets it for itself, so its work never waits on its own queue.
 _local = threading.local()
 
-
-class _Helper:
-    """One daemon thread that runs the second of two tasks, in the order the
-    callers hand them over."""
-
-    def __init__(self):
-        self._jobs = SimpleQueue()
-        threading.Thread(target=self._serve, name="cstr-task", daemon=True).start()
-
-    def _serve(self) -> None:
-        _local.serial = True
-        while True:
-            # one call per job, so that no job's arrays outlive it here
-            self._run_one(*self._jobs.get())
-
-    @staticmethod
-    def _run_one(claim: threading.Lock, task, args: tuple, done: threading.Event, outcome: list):
-        if not claim.acquire(blocking=False):
-            return  # the caller ran the task itself
-        try:
-            outcome.append((True, task(*args)))
-        except BaseException as exc:  # handed to the caller, which re-raises it
-            outcome.append((False, exc))
-        finally:
-            done.set()
-
-    def run(self, task, first: tuple, second: tuple) -> tuple:
-        """Return ``(task(*first), task(*second))``, the first run here and the
-        second on the helper, which leaves it to the caller if it has not
-        started it when the first ends; raise the first error of the two
-        once both have ended."""
-        claim, done, outcome = threading.Lock(), threading.Event(), []
-        self._jobs.put((claim, task, second, done, outcome))
-        try:
-            result = task(*first)
-        except BaseException:
-            # the helper's task may still read the caller's arrays: wait for it
-            if not claim.acquire(blocking=False):
-                done.wait()
-            raise
-        if claim.acquire(blocking=False):
-            return result, task(*second)
-        done.wait()
-        ok, value = outcome[0]
-        if not ok:
-            raise value
-        return result, value
-
-
-_helper: _Helper | None = None
+_helper = None  # the one-worker pool, started by _task_helper
 _helper_lock = threading.Lock()
 
 
@@ -196,16 +147,25 @@ def _two_cpus() -> bool:
         return (os.cpu_count() or 1) >= 2
 
 
-def _task_helper() -> _Helper | None:
-    """The process's helper, started on first use; None where this thread may
-    not hand work over (one CPU, or the helper itself)."""
+def _task_helper():
+    """The process's one-worker pool, started on first use; None where this
+    thread may not hand work over (one CPU, or the worker itself)."""
     global _helper
     if getattr(_local, "serial", False) or not _two_cpus():
         return None
     with _helper_lock:
         if _helper is None:
-            _helper = _Helper()
+            # imported on first use: it imports logging, which a process that
+            # never hands work over should not load
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper = ThreadPoolExecutor(max_workers=1, initializer=_start_worker)
         return _helper
+
+
+def _start_worker() -> None:
+    threading.current_thread().name = "cstr-task"
+    _local.serial = True
 
 
 @contextmanager
@@ -219,12 +179,32 @@ def _one_thread():
         _local.serial = before
 
 
+def _run_both(helper, task, first: tuple, second: tuple) -> tuple:
+    """Return ``(task(*first), task(*second))``: the first runs here, the
+    second on ``helper`` unless the helper has not started it when the first
+    ends; raise the first error of the two once both have ended."""
+    try:
+        second_run = helper.submit(task, *second)
+    except RuntimeError:  # the pool takes no tasks once shutdown has begun
+        return task(*first), task(*second)
+    try:
+        result = task(*first)
+    except BaseException:
+        # the helper's task may still read the caller's arrays: wait for it
+        if not second_run.cancel():
+            second_run.exception()
+        raise
+    if second_run.cancel():
+        return result, task(*second)
+    return result, second_run.result()
+
+
 def _both(task, first: tuple, second: tuple, work: int) -> tuple:
     """Return ``(task(*first), task(*second))``.
 
     ``work`` is the number of values one task reads. From ``_TASK_WORK`` on,
-    where ``_task_helper`` gives a helper, the second task runs there
-    (``_Helper.run``); each task runs in one-thread mode, so what it calls
+    where ``_task_helper`` gives a pool, the second task runs on its worker
+    (``_run_both``); each task runs in one-thread mode, so what it calls
     makes the numpy calls of a one-thread run and the bytes do not depend on
     the handoff. Otherwise both run here in turn.
     """
@@ -232,7 +212,7 @@ def _both(task, first: tuple, second: tuple, work: int) -> tuple:
     if helper is None:
         return task(*first), task(*second)
     with _one_thread():
-        return helper.run(task, first, second)
+        return _run_both(helper, task, first, second)
 
 
 # Byte budget of one band of conv2d's im2col columns. Two image tasks hold a

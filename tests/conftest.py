@@ -28,14 +28,14 @@ def two_way(monkeypatch):
     tasks on the caller (no second CPU, so no helper). Each call returns a
     list that counts the handoffs from then on."""
     runs = []
-    run = ndarray._Helper.run
+    run = ndarray._run_both
     threshold = ndarray._TASK_WORK
 
-    def counted(self, *args):
+    def counted(*args):
         runs.append(1)
-        return run(self, *args)
+        return run(*args)
 
-    monkeypatch.setattr(ndarray._Helper, "run", counted)
+    monkeypatch.setattr(ndarray, "_run_both", counted)
 
     def force(on: bool) -> list:
         monkeypatch.setattr(ndarray, "_two_cpus", lambda: on)

@@ -281,6 +281,20 @@ def test_eval_occlusion_iou(workdir):
     assert parse_kv(out)["occ_iou"] == "1.0000"
 
 
+def test_eval_pred_occ_without_gt_occ_exits_one(workdir, capsys):
+    gt = np.zeros((4, 4), dtype=F32)
+    write_pfm(workdir / "gt.pfm", gt)
+    write_pfm(workdir / "pred.pfm", gt)
+    write_pgm(workdir / "pred_occ.pgm", gt)
+    code, out = run_cli(
+        "eval", "--pred", workdir / "pred.pfm", "--gt", workdir / "gt.pfm",
+        "--pred-occ", workdir / "pred_occ.pgm",
+    )
+    assert code == 1
+    assert out == ""
+    assert "--gt-occ" in capsys.readouterr().err
+
+
 def test_eval_shape_mismatch_exits_one(workdir):
     write_pfm(workdir / "gt.pfm", np.zeros((4, 4), dtype=F32))
     write_pfm(workdir / "pred.pfm", np.zeros((4, 5), dtype=F32))

@@ -125,6 +125,21 @@ def test_pgm_rejects_bad_magic(tmp_path):
         read_pgm(path)
 
 
+def test_pgm_rejects_magic_without_whitespace(tmp_path):
+    # "P52" is not the magic "P5" followed by a width of 2
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P52 2 255\n" + bytes(4))
+    with pytest.raises(FormatError, match="bad PGM magic"):
+        read_pgm(path)
+
+
+def test_pgm_rejects_sample_above_maxval(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n2 1\n100\n" + bytes([50, 255]))
+    with pytest.raises(FormatError, match="exceeds maxval 100"):
+        read_pgm(path)
+
+
 def test_pgm_rejects_zero_maxval(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P5\n1 1\n0\n\x00")

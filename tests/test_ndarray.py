@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -295,6 +297,73 @@ def test_caller_runs_a_second_part_the_helper_has_not_started(two_way):
     assert not blocker.is_alive()
     assert names == (threading.current_thread().name,) * 2
     assert len(runs) == 2
+
+
+def test_caller_error_before_the_helper_starts_skips_the_second_part(two_way):
+    runs = two_way(True)
+    busy, release = threading.Event(), threading.Event()
+
+    def block(part):
+        if part == "first":
+            busy.wait(timeout=60)
+        else:
+            busy.set()
+            release.wait(timeout=60)
+
+    ran = []
+
+    def failing_caller(part):
+        if part == "first":
+            raise_error("caller part")
+        ran.append(part)
+
+    # the helper is busy with a task of another call until the release
+    blocker = threading.Thread(target=ndarray._both, args=(block, ("first",), ("second",), 0))
+    blocker.start()
+    try:
+        assert busy.wait(timeout=60)
+        with pytest.raises(RuntimeError, match="caller part"):
+            ndarray._both(failing_caller, ("first",), ("second",), 0)
+    finally:
+        release.set()
+        blocker.join(timeout=60)
+    assert not blocker.is_alive()
+    started = threading.Event()
+
+    def on_the_helper(part):
+        # the first task waits for the second, so only the helper can run it
+        if part == "first":
+            assert started.wait(timeout=60)
+        else:
+            started.set()
+        return threading.current_thread().name
+
+    names = ndarray._both(on_the_helper, ("first",), ("second",), 0)
+    assert names == (threading.current_thread().name, "cstr-task")
+    assert ran == []
+    assert len(runs) == 3
+
+
+def test_a_thread_that_outlives_the_main_thread_gets_both_results():
+    # the interpreter stops the helper once the main thread has returned; a
+    # call made after that still returns both results
+    script = (
+        "import threading\n"
+        "from cstr import ndarray\n"
+        "ndarray._two_cpus = lambda: True\n"
+        "work = ndarray._TASK_WORK\n"
+        "assert ndarray._both(str.upper, ('a',), ('b',), work) == ('A', 'B')\n"
+        "assert ndarray._helper is not None\n"
+        "def late():\n"
+        "    threading.main_thread().join()\n"
+        "    print(*ndarray._both(str.upper, ('c',), ('d',), work))\n"
+        "threading.Thread(target=late).start()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["C", "D"], proc.stderr
 
 
 def test_work_on_the_helper_never_splits_again(two_way):
