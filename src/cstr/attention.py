@@ -166,11 +166,11 @@ class PathWeights:
     """One path's attention parameters in one layer: width-axial,
     height-axial and cross attention. The matching path and the context path
     have the same three; only the last layer's matching path has score-only
-    cross weights."""
+    cross weights, and a context path that emits nothing has none."""
 
     wax: AttentionWeights
     hax: AttentionWeights
-    cross: AttentionWeights | ScoreWeights
+    cross: AttentionWeights | ScoreWeights | None
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ Three wiring strategies control when context is emitted for fusion:
 * M3: every layer runs axial then cross; the post-cross feature is both the
   payload and the carried state.
 
+``_emits`` states which layers emit, once: ``cep_step`` runs a cross pass
+only there, and ``pipeline`` gives a layer context cross weights and a
+fusion block only there, so an M2 model holds neither for layers 0 .. L-2.
+
 Every attention sublayer output is re-normalized per pixel before further
 use, matching the main path's convention.
 """
@@ -101,6 +105,12 @@ def _cross_pass(left: np.ndarray, right: np.ndarray, weights: PathWeights, heads
     return pixel_norm(new_left), pixel_norm(new_right)
 
 
+def _emits(strategy: str, layer: int, layers: int) -> bool:
+    """Whether ``layer`` of ``layers`` runs the context cross pass and hands
+    its result to fusion: under M1 and M3 every layer, under M2 the last."""
+    return strategy != "M2" or layer == layers - 1
+
+
 def cep_step(
     state: ContextState,
     layer: int,
@@ -116,18 +126,10 @@ def cep_step(
     if not 0 <= layer < total_layers:
         raise ValueError(f"layer {layer} out of range for {total_layers} layers")
     ax_l, ax_r = _axial_pass(state.left_ctx, state.right_ctx, weights, heads)
-    if state.strategy == "M1":
-        payload = _cross_pass(ax_l, ax_r, weights, heads)
-        carried = (ax_l, ax_r)
-    elif state.strategy == "M2":
-        if layer == total_layers - 1:
-            payload = _cross_pass(ax_l, ax_r, weights, heads)
-        else:
-            payload = None
-        carried = (ax_l, ax_r)
-    else:  # M3
-        payload = _cross_pass(ax_l, ax_r, weights, heads)
-        carried = payload
+    emits = _emits(state.strategy, layer, total_layers)
+    payload = _cross_pass(ax_l, ax_r, weights, heads) if emits else None
+    # M3 carries the payload; M1 and M2 carry the post-axial feature
+    carried = payload if state.strategy == "M3" else (ax_l, ax_r)
     next_state = replace(state, left_ctx=carried[0], right_ctx=carried[1])
     return next_state, payload
 

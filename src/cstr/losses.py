@@ -196,11 +196,12 @@ def finite_diff_check(
     flat = point.astype(np.float64).ravel()
     grad = np.asarray(analytic_grad, dtype=np.float64).ravel()
     size = flat.size
-    if size <= max_coords:
+    count = max(32, max_coords)
+    if size <= count:
         coords = np.arange(size)
     else:
         picker = Rng(seed).generator
-        coords = np.sort(picker.choice(size, size=max(32, max_coords), replace=False))
+        coords = np.sort(picker.choice(size, size=count, replace=False))
     worst = 0.0
     for idx in coords:
         bumped = flat.copy()

@@ -12,24 +12,29 @@ features nothing reads, so they never run.
 Weight naming scheme (all tensors float32), for L layers:
 
     backbone.conv{s}.kernel / .bias        s = 1..log2(1/mmp_scale)
-    layer{i}.{mmp,cep}.{wax,hax,cross}.{Wq,Wk,Wv,Wo,rel}    i < L-1
-    fusion{i}.conv{1,2}.{kernel,bias}                       i < L-1
+    layer{i}.mmp.{wax,hax,cross}.{Wq,Wk,Wv,Wo,rel}          i < L-1
+    layer{i}.cep.{wax,hax}.{Wq,Wk,Wv,Wo,rel}                i < L-1
+    layer{i}.cep.cross.{Wq,Wk,Wv,Wo,rel}                    i < L-1 that emit
+    fusion{i}.conv{1,2}.{kernel,bias}                       i < L-1 that emit
     layer{L-1}.mmp.{wax,hax}.{Wq,Wk,Wv,Wo,rel}, layer{L-1}.mmp.cross.{Wq,Wk,rel}
     refine.conv{1,2}.{kernel,bias}, refine.occ.{kernel,bias}
 
-The last layer holds only what its scores read. The others carry a full
-context and fusion set whatever the strategy, so one weight file can drive
-M1, M2 or M3. ``init_weights`` draws every layer in full and then drops the
-last layer's unread tensors, so each kept tensor has the bytes it had when
-files held them all; a file in that older layout is rejected and must be
-regenerated (``cstr init-weights``).
+The last layer holds only what its scores read. A layer before it holds a
+context cross pass and a fusion block only where the strategy emits context
+there (``context._emits``): at every such layer under M1 and M3, at none
+under M2. So a weight file follows the strategy: an M2 file lacks what M1
+and M3 read, and an M1 or M3 file holds tensors M2 rejects. ``init_weights``
+draws every layer in full and then drops the unread tensors, so each kept
+tensor has the bytes it had when files held them all; a file in an older
+layout is rejected and must be regenerated (``cstr init-weights``).
 
 ``ModelDescription`` validates a store against the config before any compute.
 On first use it resolves these names once into typed views of the store's
 arrays: ``backbone``, a (kernel, bias) pair per stage; ``layers``, per layer
 but the last a ``LayerWeights`` of the matching-path and context-path
 ``PathWeights`` (wax/hax/cross ``AttentionWeights``) and the
-``FusionWeights``, then the last layer's ``ScoreLayerWeights``, whose
+``FusionWeights``, where a layer that does not emit has a context ``cross``
+and a ``fusion`` of None, then the last layer's ``ScoreLayerWeights``, whose
 matching path has ``ScoreWeights`` for its cross attention; and ``refine``,
 the ``RefineWeights``. Names are built only in ``weight_spec`` and
 ``ModelDescription``; the forward functions take the typed weights.
@@ -59,7 +64,8 @@ import numpy as np
 from .attention import AttentionWeights, PathWeights, ScoreMatrix, ScoreWeights
 from .attention import axial_attention_height, axial_attention_width, pixel_norm
 from .attention import cross_attention, cross_scores
-from .context import ContextState, FusionWeights, cep_step, make_context_features, path_fusion
+from .context import ContextState, FusionWeights, _emits, cep_step, make_context_features
+from .context import path_fusion
 from .formats import ImagePair, RunConfig, WeightStore, rgb_to_gray
 from .losses import GtBundle, LossBreakdown, binary_entropy_loss
 from .losses import relative_response_loss, smooth_l1, total_loss
@@ -108,8 +114,10 @@ def _backbone_channels(config: RunConfig) -> list[int]:
 
 def _layout(config: RunConfig, span: int, last_in_full: bool) -> dict[str, tuple]:
     """Ordered name -> shape map of every layer's tensors. The last layer
-    holds only what its scores read unless ``last_in_full`` is set, which
-    gives the layout ``init_weights`` draws (see the module docstring)."""
+    holds only what its scores read, and a layer that does not emit context
+    no context cross pass and no fusion block, unless ``last_in_full`` is
+    set, which gives every layer in full: the layout ``init_weights`` draws
+    (see the module docstring)."""
     if span < 1:
         raise ValueError("span must be >= 1")
     c = config.channels
@@ -122,12 +130,13 @@ def _layout(config: RunConfig, span: int, last_in_full: bool) -> dict[str, tuple
         prev = out
     for i in range(config.layers):
         full = last_in_full or i < config.layers - 1
+        fuses = full and (last_in_full or _emits(config.cep_strategy, i, config.layers))
         for path in ("mmp", "cep") if full else ("mmp",):
-            for sub in ("wax", "hax", "cross"):
+            for sub in ("wax", "hax", "cross") if path == "mmp" or fuses else ("wax", "hax"):
                 kind = AttentionWeights if full or sub != "cross" else ScoreWeights
                 for t in _TENSORS[kind]:
                     spec[f"layer{i}.{path}.{sub}.{t}"] = rel_shape if t == "rel" else (c, c)
-        if full:
+        if fuses:
             spec[f"fusion{i}.conv1.kernel"] = (c, 2 * c, 3, 3)
             spec[f"fusion{i}.conv1.bias"] = (c,)
             spec[f"fusion{i}.conv2.kernel"] = (c, c, 3, 3)
@@ -144,7 +153,9 @@ def _layout(config: RunConfig, span: int, last_in_full: bool) -> dict[str, tuple
 def weight_spec(config: RunConfig, span: int = DEFAULT_SPAN) -> dict[str, tuple]:
     """Ordered name -> shape map of every tensor ``forward`` reads under the
     config: every layer in full but the last, which has no context path, no
-    fusion block and no mmp.cross.Wv/Wo (see the module docstring)."""
+    fusion block and no mmp.cross.Wv/Wo, and the layers that do not emit
+    context, which have no context cross pass and no fusion block (see the
+    module docstring)."""
     return _layout(config, span, last_in_full=False)
 
 
@@ -153,11 +164,11 @@ def init_weights(
 ) -> WeightStore:
     """Seeded random initialization of every tensor in ``weight_spec``.
 
-    Every layer is drawn in full, in naming order, and the last layer's
-    unread tensors are then dropped (see the module docstring), so a given
-    seed always produces the same store byte for byte. Biases are zero;
-    projections use 1/sqrt(c), kernels 1/sqrt(fan_in), position tables a
-    flat 0.02.
+    Every layer is drawn in full, in naming order, and the tensors that
+    ``forward`` does not read are then dropped (see the module docstring),
+    so a given seed always produces the same store byte for byte. Biases
+    are zero; projections use 1/sqrt(c), kernels 1/sqrt(fan_in), position
+    tables a flat 0.02.
     """
     rng = Rng(config.seed if seed is None else seed)
     kept = weight_spec(config, span)
@@ -180,11 +191,12 @@ def init_weights(
 @dataclass(frozen=True)
 class LayerWeights:
     """One stacked layer's parameters: the matching path, the context path
-    and the block that fuses context into the matching stream."""
+    and the block that fuses context into the matching stream. A layer that
+    does not emit context has no context cross weights and no fusion."""
 
     mmp: PathWeights
     cep: PathWeights
-    fusion: FusionWeights
+    fusion: FusionWeights | None
 
 
 @dataclass(frozen=True)
@@ -236,17 +248,18 @@ class ModelDescription:
     def layers(self) -> tuple[LayerWeights | ScoreLayerWeights, ...]:
         """One ``LayerWeights`` per stacked layer but the last, then the
         last layer's ``ScoreLayerWeights``."""
-        last = self.config.layers - 1
-        full = (
-            LayerWeights(
-                mmp=self._path(f"layer{i}.mmp"),
-                cep=self._path(f"layer{i}.cep"),
-                fusion=FusionWeights(
+        config = self.config
+        last = config.layers - 1
+        full = []
+        for i in range(last):
+            emits = _emits(config.cep_strategy, i, config.layers)
+            fusion = None
+            if emits:
+                fusion = FusionWeights(
                     *self._conv(f"fusion{i}.conv1"), *self._conv(f"fusion{i}.conv2")
-                ),
-            )
-            for i in range(last)
-        )
+                )
+            cep = self._path(f"layer{i}.cep", AttentionWeights if emits else None)
+            full.append(LayerWeights(self._path(f"layer{i}.mmp"), cep, fusion))
         return (*full, ScoreLayerWeights(self._path(f"layer{last}.mmp", ScoreWeights)))
 
     @cached_property
@@ -263,7 +276,8 @@ class ModelDescription:
             tensors = _TENSORS[kind]
             return kind(*(self.weights[f"{name}.{sub}.{t}"] for t in tensors))
 
-        return PathWeights(attention("wax"), attention("hax"), attention("cross", cross))
+        cross = attention("cross", cross) if cross else None
+        return PathWeights(attention("wax"), attention("hax"), cross)
 
 
 def pad_pair_to_multiple(pair: ImagePair, multiple: int) -> tuple[ImagePair, tuple[int, int]]:

@@ -78,6 +78,16 @@ def test_init_weights_default_config_reports_193_tensors(tmp_path, capsys):
     assert len(read_weights(out)) == 193
 
 
+def test_init_weights_m2_config_reports_148_tensors(tmp_path, capsys):
+    # M2 emits context only at the last layer, so the layers before it hold
+    # no context cross pass and no fusion block
+    config, out = tmp_path / "m2.cfg", tmp_path / "m2.w"
+    config.write_text("cep_strategy=M2\n")
+    assert run_cli("init-weights", "--config", config, "--out", out)[0] == 0
+    assert f"wrote 148 tensors to {out}" in capsys.readouterr().err
+    assert len(read_weights(out)) == 148
+
+
 def test_init_weights_bad_config_exits_one(workdir):
     bad = workdir / "bad.cfg"
     bad.write_text("heads=5\nchannels=128\n")
@@ -208,6 +218,26 @@ def test_infer_rejects_a_full_layout_weight_file(workdir, weights_file, capsys):
     assert "weights hold unexpected tensors" in err
     assert "'layer1.cep." in err or "'fusion1." in err
     assert not (workdir / "d.pfm").exists()
+
+
+def test_infer_rejects_an_m3_weight_file_under_an_m2_config(workdir, weights_file, capsys):
+    # the file follows the strategy: an M3 file holds layer 0's context cross
+    # pass and fusion block, which M2 never reads
+    config = workdir / "m2.cfg"
+    config.write_text(TINY_CONFIG_TEXT + "cep_strategy=M2\n")
+    code, out = run_cli(
+        "infer",
+        "--left", workdir / "left.pgm",
+        "--right", workdir / "right.pgm",
+        "--weights", weights_file,
+        "--config", config,
+        "--out-disp", workdir / "d.pfm",
+        "--out-occ", workdir / "o.pgm",
+    )
+    assert (code, out) == (1, "")
+    assert "weights hold unexpected tensors: ['layer0.cep.cross." in capsys.readouterr().err
+    assert not (workdir / "d.pfm").exists()
+    assert not (workdir / "o.pgm").exists()
 
 
 def test_infer_unreadable_weights_exits_two(workdir):

@@ -317,6 +317,20 @@ def test_fd_check_subsamples_large_tensors():
     assert err < 1e-6
 
 
+def test_fd_check_checks_every_coordinate_of_a_tensor_below_32_elements():
+    # at least 32 coordinates are checked, so max_coords below the size of a
+    # small tensor still checks all of it, two loss calls each
+    x = Rng(6).generator.random((4, 5), dtype=F32)
+    calls = []
+
+    def loss(arr):
+        calls.append(arr)
+        return float(arr.astype(np.float64).sum())
+
+    assert finite_diff_check(loss, x, np.ones((4, 5)), step=1e-4, max_coords=4) < 1e-6
+    assert len(calls) == 40
+
+
 def test_fd_check_rejects_bad_step():
     with pytest.raises(ValueError):
         finite_diff_check(lambda a: 0.0, np.zeros(3, dtype=F32), np.zeros(3), step=0.0)

@@ -19,6 +19,7 @@ from cstr import (
     ScoreWeights,
     WeightStore,
     backbone_forward,
+    cep_step,
     cross_attention,
     cross_scores,
     cstr_layer,
@@ -80,9 +81,21 @@ def test_weight_spec_default_config_counts():
     assert sum(4 * int(np.prod(shape)) for shape in spec.values()) == 18_208_464
 
 
+def test_weight_spec_m2_config_counts():
+    # M2 emits context only at the last layer, so layers 0 .. 4 hold no
+    # context cross pass (5 tensors) and no fusion block (4 tensors)
+    spec = weight_spec(RunConfig(cep_strategy="M2"))
+    assert len(spec) == 193 - 5 * (5 + 4) == 148
+    assert not [n for n in spec if n.startswith("fusion") or ".cep.cross." in n]
+    assert "layer4.cep.hax.rel" in spec
+    assert sum(4 * int(np.prod(shape)) for shape in spec.values()) == 7_963_984
+
+
 # sha256 of the kept tensors' bytes in weight_spec order, frozen from the
 # store of the full layer layout before the last layer's unread tensors
-# were dropped: dropping them moved none of the others
+# were dropped: dropping them moved none of the others. The M2 digest was
+# frozen the same way before M2's non-emitting layers lost their context
+# cross pass and fusion block.
 KEPT_STORE_DIGESTS = {
     "default": (
         RunConfig(),
@@ -90,6 +103,11 @@ KEPT_STORE_DIGESTS = {
         "bbc87729c41ee02120ee4f96e914ff97bb2037bdfc208d4791ec6e2eafa8e4c3",
     ),
     "tiny": (TINY, 16, "948f5b168519f40cb5e7ef01745c51b10b852263cc798ee666cfaf35a5a57064"),
+    "m2": (
+        RunConfig(cep_strategy="M2"),
+        DEFAULT_SPAN,
+        "b6c55edfdf4f4202d9c6b72ec73e3188f7fae4a8dd6372687e2f129015f688ee",
+    ),
 }
 
 
@@ -155,6 +173,26 @@ def full_layout_store(config, span):
 def test_validation_rejects_the_full_layout():
     with pytest.raises(ValueError, match=r"unexpected tensors: .*'(layer1\.cep\.|fusion1\.)"):
         ModelDescription(TINY, full_layout_store(TINY, 8))
+
+
+def test_validation_rejects_an_m2_store_in_the_full_layout():
+    # an M2 file from before its non-emitting layers lost their context cross
+    # pass and fusion block, and an M3 file, both hold layer 0's; an M2 file
+    # lacks what M3 reads
+    config = dataclasses.replace(TINY, cep_strategy="M2")
+    store = init_weights(config, span=8)
+    layout = _layout(config, 8, last_in_full=True)
+    assert len(layout) == len(store) + 21 + 9
+    full = WeightStore(
+        {n: store[n] if n in store else np.zeros(shape, F32) for n, shape in layout.items()}
+    )
+    first_dropped = r"\['layer0\.cep\.cross\.Wq'"
+    with pytest.raises(ValueError, match="unexpected tensors: " + first_dropped):
+        ModelDescription(config, full)
+    with pytest.raises(ValueError, match="unexpected tensors: " + first_dropped):
+        ModelDescription(config, init_weights(TINY, span=8))
+    with pytest.raises(ValueError, match="missing tensors: " + first_dropped):
+        ModelDescription(TINY, store)
 
 
 def test_last_layer_computes_only_scores(tiny_model, tiny_pair):
@@ -275,6 +313,41 @@ def test_forward_path_fusion_calls(strategy, calls, monkeypatch):
     monkeypatch.setattr(cstr.pipeline, "path_fusion", counted)
     forward(seeded_pair(seed=6), seeded_model(seed=5, config=config))
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3, 4])
+@pytest.mark.parametrize("strategy", ["M1", "M2", "M3"])
+def test_fusion_weights_are_held_exactly_where_forward_fuses(strategy, layers, monkeypatch):
+    # one schedule: the layers that fuse in forward, the layers that hold a
+    # fusion block and a context cross pass, and the layers before the last
+    # at which cep_step emits are the same
+    config = RunConfig(layers=layers, channels=8, heads=2, cep_strategy=strategy)
+    current, fused, emitted = [], set(), set()
+
+    def layer_of(*args):
+        current[:] = [args[3]]
+        return cstr_layer(*args)
+
+    def step(state, layer, *args):
+        state, payload = cep_step(state, layer, *args)
+        if payload is not None:
+            emitted.add(layer)
+        return state, payload
+
+    def fusion(*args):
+        fused.add(current[0])
+        return path_fusion(*args)
+
+    monkeypatch.setattr(cstr.pipeline, "cstr_layer", layer_of)
+    monkeypatch.setattr(cstr.pipeline, "cep_step", step)
+    monkeypatch.setattr(cstr.pipeline, "path_fusion", fusion)
+    forward(seeded_pair(seed=7), seeded_model(seed=8, config=config))
+    spec = weight_spec(config, span=16)
+    for prefix in ("fusion{}.conv1.kernel", "layer{}.cep.cross.Wq"):
+        assert fused == {i for i in range(layers) if prefix.format(i) in spec}
+    assert fused == emitted
+    want = set() if strategy == "M2" else set(range(layers - 1))
+    assert fused == want
 
 
 def test_final_scores_shape_and_mask():
@@ -645,15 +718,20 @@ def test_forward_bytes_equal_full_last_layer_reference(strategy, layers):
     assert occ.probs.tobytes() == want_occ.tobytes()
 
 
-LIVENESS = RunConfig(layers=3, channels=8, heads=2)
 # The weight files hold only what forward reads, so under M1 and M3 every
 # tensor moves the output. M2 emits its only context payload at the last
-# layer, which computes only scores, so the context and fusion tensors of
-# layers 0 .. L-2 (38 here) are dead; which M2 is meant is open (ROADMAP
-# item 1).
+# layer, which computes only scores, and its files hold no context cross
+# pass or fusion block before it. The context axial tensors of layers
+# 0 .. L-2 (20 here) still feed only the state carried to that layer, so
+# they are dead; which M2 is meant is open (ROADMAP item 1).
 DEAD_TENSORS = {
     "M1": set(),
-    "M2": {n for n in weight_spec(LIVENESS) if n.startswith("fusion") or ".cep." in n},
+    "M2": {
+        f"layer{i}.cep.{sub}.{t}"
+        for i in (0, 1)
+        for sub in ("wax", "hax")
+        for t in ("Wq", "Wk", "Wv", "Wo", "rel")
+    },
     "M3": set(),
 }
 
@@ -678,7 +756,7 @@ def test_every_tensor_outside_the_dead_set_moves_the_output(strategy):
         noisy[name] = value + seeded_normal(rng, value.shape, 0.1)
         if output_bytes(noisy) == base:
             dead.add(name)
-    assert len(tensors) == 91
+    assert len(tensors) == (73 if strategy == "M2" else 91)
     assert dead == DEAD_TENSORS[strategy]
 
 
@@ -706,7 +784,7 @@ def test_package_reexports_only_names_in_their_modules_all():
 def attention_weights_of(model):
     # every attention weight object of a resolved model, in a fixed order
     paths = [p for layer in model.layers for p in (layer.mmp, getattr(layer, "cep", None)) if p]
-    return [w for p in paths for w in (p.wax, p.hax, p.cross)]
+    return [w for p in paths for w in (p.wax, p.hax, p.cross) if w is not None]
 
 
 def kept_operands(model):
